@@ -3,8 +3,8 @@
 //! Runs the Fig. 10 coarse-grain workload (STG-style random groups,
 //! 50–5000 nodes, plus the application proxies; four deadline factors ×
 //! four strategies per graph, 608 solves) through the production solver
-//! — flat-arena schedule cache, lower-bound pruned scan, parallel
-//! candidate sweep — and times it with the shared min-over-reps helper
+//! — flat-arena schedule cache, lower-bound pruned scan, memoized EDF
+//! ranks — and times it with the shared min-over-reps helper
 //! ([`lamps_bench::timing`]).
 //!
 //! There is no in-process "legacy engine" reconstruction: the *before*
@@ -196,7 +196,7 @@ struct Counters {
     values: [u64; COUNTER_NAMES.len()],
 }
 
-const COUNTER_NAMES: [(&str, &str); 12] = [
+const COUNTER_NAMES: [(&str, &str); 11] = [
     ("schedule_hits", "core.cache.schedule_hits"),
     ("schedule_misses", "core.cache.schedule_misses"),
     ("summary_hits", "core.cache.summary_hits"),
@@ -204,7 +204,6 @@ const COUNTER_NAMES: [(&str, &str); 12] = [
     ("plateau_hits", "core.cache.plateau_hits"),
     ("probes_pruned", "core.cache.probes_pruned"),
     ("candidates", "core.scan.candidates"),
-    ("parallel_candidates", "core.scan.parallel_candidates"),
     ("sweeps_skipped", "core.prune.sweeps_skipped"),
     ("scan_breaks", "core.prune.scan_breaks"),
     ("list_schedule_runs", "sched.list_schedule.runs"),
@@ -422,7 +421,7 @@ fn main() {
     let _ = writeln!(json, "  \"after\": {{");
     let _ = writeln!(
         json,
-        "    \"engine\": \"flat-arena cache + lower-bound pruned scan + parallel sweep\","
+        "    \"engine\": \"flat-arena cache + lower-bound pruned scan + rank memo\","
     );
     let _ = writeln!(json, "    \"reps\": {reps},");
     let _ = writeln!(json, "    \"seconds\": {total_s},");

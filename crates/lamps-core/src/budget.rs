@@ -216,15 +216,13 @@ fn budget_search(
         return Err(SolveError::BadDeadline(deadline_s));
     }
     let deadline_cycles = cfg.deadline_cycles(deadline_s);
-    let infeasible = |mut best_possible_cycles: u64| {
-        best_possible_cycles = best_possible_cycles.max(graph.critical_path_cycles());
-        SolveError::Infeasible {
-            deadline_s,
-            best_possible_s: best_possible_cycles as f64 / cfg.max_frequency(),
-        }
+    let cpl_cycles = cache.critical_path_cycles();
+    let infeasible = |best_possible_cycles: u64| SolveError::Infeasible {
+        deadline_s,
+        best_possible_s: best_possible_cycles.max(cpl_cycles) as f64 / cfg.max_frequency(),
     };
-    if graph.critical_path_cycles() > deadline_cycles {
-        return Err(infeasible(graph.critical_path_cycles()));
+    if cpl_cycles > deadline_cycles {
+        return Err(infeasible(cpl_cycles));
     }
 
     let ps = strategy.uses_ps();
@@ -388,12 +386,10 @@ fn expired_fallback(
 ) -> Result<BudgetedSolution, SolveError> {
     let graph = cache.graph();
     let deadline_cycles = cfg.deadline_cycles(deadline_s);
-    let infeasible = |mut best_possible_cycles: u64| {
-        best_possible_cycles = best_possible_cycles.max(graph.critical_path_cycles());
-        SolveError::Infeasible {
-            deadline_s,
-            best_possible_s: best_possible_cycles as f64 / cfg.max_frequency(),
-        }
+    let cpl_cycles = cache.critical_path_cycles();
+    let infeasible = |best_possible_cycles: u64| SolveError::Infeasible {
+        deadline_s,
+        best_possible_s: best_possible_cycles.max(cpl_cycles) as f64 / cfg.max_frequency(),
     };
     let ps = strategy.uses_ps();
     let sleep = ps.then_some(&cfg.sleep);

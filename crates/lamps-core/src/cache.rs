@@ -35,8 +35,10 @@ use std::sync::Arc;
 /// [`ScheduleCache::into_buffers`] → [`ScheduleCache::for_graph_recycled`]
 /// keeps the list-scheduler workspace (the bulk of the memory) and the
 /// memo spines warm across graphs instead of reallocating them per
-/// graph. The buffers carry no semantic state — recycling starts every
-/// cache cold (empty memo, zeroed stats), so solutions are identical to
+/// graph. Recycling starts every cache cold (empty memo, zeroed stats);
+/// the only state carried over is the list-scheduler workspace's rank
+/// memo, which is reused only for keys equal to the ones it was built
+/// from (see [`ListScheduleWorkspace`]), so solutions are identical to
 /// ones from [`ScheduleCache::for_graph`].
 #[derive(Debug, Default)]
 pub struct CacheBuffers {
@@ -137,7 +139,7 @@ impl<'g> ScheduleCache<'g> {
     /// harness evaluates factors 1.5/2/4/8 × CPL over the same graph)
     /// can therefore share one cache instead of rescheduling per factor.
     pub fn for_graph(graph: &'g TaskGraph) -> Self {
-        Self::new(graph, graph.critical_path_cycles())
+        Self::for_graph_recycled(graph, CacheBuffers::default())
     }
 
     /// [`Self::for_graph`], building into the recycled buffers of a
@@ -145,23 +147,9 @@ impl<'g> ScheduleCache<'g> {
     /// a fresh cache: the memo starts empty and the canonical keys are
     /// recomputed for `graph`.
     pub fn for_graph_recycled(graph: &'g TaskGraph, mut bufs: CacheBuffers) -> Self {
-        latest_finish_times_into(graph, graph.critical_path_cycles(), &mut bufs.keys);
-        bufs.memo.clear();
-        bufs.summaries.clear();
-        ScheduleCache {
-            graph,
-            keys: bufs.keys,
-            memo: bufs.memo,
-            summaries: bufs.summaries,
-            ws: bufs.ws,
-            runs: 0,
-            stats: CacheStats::default(),
-            work_cycles: graph.total_work_cycles(),
-            cpl_cycles: graph.critical_path_cycles(),
-            plateau: None,
-            shortcuts_enabled: true,
-            lb_off_by_one: false,
-        }
+        let cpl_cycles = graph.critical_path_cycles();
+        latest_finish_times_into(graph, cpl_cycles, &mut bufs.keys);
+        Self::from_buffers(graph, bufs, cpl_cycles)
     }
 
     /// Retire this cache, returning its heap buffers for reuse by the
@@ -178,16 +166,29 @@ impl<'g> ScheduleCache<'g> {
     /// Build a cache with explicit priority keys (smaller = first).
     pub fn with_keys(graph: &'g TaskGraph, keys: Vec<u64>) -> Self {
         assert_eq!(keys.len(), graph.len());
+        let bufs = CacheBuffers {
+            keys,
+            ..CacheBuffers::default()
+        };
+        Self::from_buffers(graph, bufs, graph.critical_path_cycles())
+    }
+
+    /// The shared constructor body. Callers pass in the critical path
+    /// (the canonical keys need it too), so a build walks the graph for
+    /// it once; solves read it, and the total work, from the cache.
+    fn from_buffers(graph: &'g TaskGraph, mut bufs: CacheBuffers, cpl_cycles: u64) -> Self {
+        bufs.memo.clear();
+        bufs.summaries.clear();
         ScheduleCache {
             graph,
-            keys,
-            memo: Vec::new(),
-            summaries: Vec::new(),
-            ws: ListScheduleWorkspace::new(),
+            keys: bufs.keys,
+            memo: bufs.memo,
+            summaries: bufs.summaries,
+            ws: bufs.ws,
             runs: 0,
             stats: CacheStats::default(),
             work_cycles: graph.total_work_cycles(),
-            cpl_cycles: graph.critical_path_cycles(),
+            cpl_cycles,
             plateau: None,
             shortcuts_enabled: true,
             lb_off_by_one: false,
@@ -240,6 +241,14 @@ impl<'g> ScheduleCache<'g> {
             n
         };
         self.cpl_cycles.max(self.work_cycles.div_ceil(n as u64))
+    }
+
+    /// `N_lwb = ⌈total_work / D⌉` (at least 1): no fewer processors can
+    /// finish the work within `deadline_cycles` at the scheduling
+    /// (maximum) frequency (§4.2). `None` for a zero deadline. Computed
+    /// from the cached total — no graph walk.
+    pub fn min_procs_lower_bound(&self, deadline_cycles: u64) -> Option<usize> {
+        (deadline_cycles > 0).then(|| self.work_cycles.div_ceil(deadline_cycles).max(1) as usize)
     }
 
     /// The underlying graph.
@@ -313,10 +322,9 @@ impl<'g> ScheduleCache<'g> {
 
     /// Idle summaries for a batch of processor counts, in the order
     /// given (duplicates allowed). Ensures every summary exists first,
-    /// then hands back one shared borrow per count — the shape the
-    /// parallel candidate evaluation needs, where the sweeps run
-    /// concurrently over `&IdleSummary` references while the cache
-    /// itself is no longer borrowed mutably.
+    /// then hands back one shared borrow per count, so a caller can
+    /// hold several summaries at once while the cache itself is no
+    /// longer borrowed mutably.
     pub fn summaries(&mut self, counts: &[usize]) -> Vec<&IdleSummary> {
         for &n in counts {
             self.ensure_summary(n);
@@ -430,10 +438,7 @@ impl<'g> ScheduleCache<'g> {
         probe: &mut dyn FnMut(usize, u64, bool),
     ) -> Option<usize> {
         let n_upb = self.graph.len().max(1);
-        let n_lwb = self
-            .graph
-            .min_processors_lower_bound(deadline_cycles)?
-            .min(n_upb);
+        let n_lwb = self.min_procs_lower_bound(deadline_cycles)?.min(n_upb);
         let cached = self.is_cached(n_upb);
         let upb_makespan = self.makespan(n_upb);
         probe(n_upb, upb_makespan, cached);
@@ -700,6 +705,19 @@ mod tests {
             g.len(),
             "every count is answered exactly once, by schedule or plateau"
         );
+    }
+
+    #[test]
+    fn min_procs_lower_bound_matches_formula() {
+        let g = fig4a(); // work = 18
+        let c = ScheduleCache::for_graph(&g);
+        assert_eq!(c.min_procs_lower_bound(18), Some(1));
+        assert_eq!(c.min_procs_lower_bound(10), Some(2));
+        assert_eq!(c.min_procs_lower_bound(9), Some(2));
+        assert_eq!(c.min_procs_lower_bound(6), Some(3));
+        assert_eq!(c.min_procs_lower_bound(0), None);
+        // Even a huge deadline needs one processor.
+        assert_eq!(c.min_procs_lower_bound(u64::MAX), Some(1));
     }
 
     #[test]

@@ -103,12 +103,10 @@ pub fn genetic_solve(
     let mut rng = Rng::seed_from_u64(ga.seed);
     let n = graph.len();
     // Max useful processors bounds the count gene.
-    let n_max = {
-        let mut cache = ScheduleCache::new(graph, deadline_cycles);
-        cache.max_useful_procs().max(seed_sol.n_procs)
-    };
-    let n_min = graph
-        .min_processors_lower_bound(deadline_cycles)
+    let mut cache = ScheduleCache::new(graph, deadline_cycles);
+    let n_max = cache.max_useful_procs().max(seed_sol.n_procs);
+    let n_min = cache
+        .min_procs_lower_bound(deadline_cycles)
         .unwrap_or(1)
         .min(n_max);
 
@@ -116,7 +114,7 @@ pub fn genetic_solve(
     let fitness = |ind: &Individual| -> Option<(f64, usize, OperatingPoint)> {
         let schedule = list_schedule(graph, ind.n_procs, &ind.keys);
         let summary = lamps_sched::IdleSummary::new(&schedule);
-        let cand = best_level_for(&summary, ind.n_procs, deadline_s, cfg, true, None)?;
+        let cand = best_level_for(&summary, ind.n_procs, deadline_s, cfg, true, None, None)?;
         Some((cand.energy.total(), cand.n_procs, cand.level))
     };
 

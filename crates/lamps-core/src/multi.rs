@@ -167,8 +167,8 @@ pub fn solve_with_deadlines(
             if !feasible_at_fmax(cache.schedule(n_upb), &lf) {
                 return Err(infeasible());
             }
-            let n_lwb = graph
-                .min_processors_lower_bound(deadlines.horizon_cycles)
+            let n_lwb = cache
+                .min_procs_lower_bound(deadlines.horizon_cycles)
                 .unwrap_or(1)
                 .min(n_upb);
             let (mut lo, mut hi) = (n_lwb, n_upb);

@@ -8,7 +8,6 @@ use crate::explain::{
 };
 use crate::types::{Solution, SolveError, Strategy};
 use lamps_energy::{evaluate_summary, min_sleep_cycles, EnergyBreakdown, LevelSweep};
-use lamps_parallel::{Pool, PoolMetrics};
 use lamps_power::OperatingPoint;
 use lamps_sched::{IdleSummary, ProcId};
 use lamps_taskgraph::TaskGraph;
@@ -34,28 +33,6 @@ pub(crate) struct Candidate {
 /// *equals* its floor — zero idle at the cheapest feasible level — is
 /// never pruned against an incumbent it could tie or beat.)
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
-
-/// Minimum graph size before the LAMPS linear scan evaluates its
-/// candidates' level sweeps in parallel. Below this the sweeps are
-/// microseconds each and the pool's claim/merge overhead dominates.
-const PAR_SCAN_MIN_TASKS: usize = 512;
-
-/// Worker pool for the intra-solve candidate evaluation. On single-core
-/// hosts (or under the size threshold) everything runs inline; either
-/// way the merge is sequential in ascending processor count with the
-/// same strict-`<` rule as the sequential scan, so the chosen solution
-/// is bitwise identical.
-static PAR_SCAN_POOL: Pool = Pool::new(
-    "par_scan",
-    "core",
-    PoolMetrics {
-        calls: "core.par_scan.calls",
-        items: "core.par_scan.items",
-        worker_busy_us: "core.par_scan.worker_busy_us",
-        worker_idle_us: "core.par_scan.worker_idle_us",
-        worker_items: "core.par_scan.worker_items",
-    },
-);
 
 /// Lower bound on the total energy of any candidate whose makespan is at
 /// least `bound_cycles`: every one of the graph's `work_cycles` executed
@@ -87,7 +64,6 @@ fn energy_floor(
 #[derive(Default)]
 struct SolveCounters {
     candidates: u64,
-    parallel_candidates: u64,
     sweeps_skipped: u64,
     scan_breaks: u64,
 }
@@ -243,7 +219,6 @@ fn solve_impl(
         lamps_obs::counter("core.cache.plateau_hits").add(delta.plateau_hits);
         lamps_obs::counter("core.cache.probes_pruned").add(delta.probes_pruned);
         lamps_obs::counter("core.scan.candidates").add(counters.candidates);
-        lamps_obs::counter("core.scan.parallel_candidates").add(counters.parallel_candidates);
         lamps_obs::counter("core.prune.sweeps_skipped").add(counters.sweeps_skipped);
         lamps_obs::counter("core.prune.scan_breaks").add(counters.scan_breaks);
     }
@@ -284,15 +259,15 @@ fn solve_search(
         None
     };
     let deadline_cycles = cfg.deadline_cycles(deadline_s);
-    let infeasible = |mut best_possible_cycles: u64| {
-        best_possible_cycles = best_possible_cycles.max(graph.critical_path_cycles());
-        SolveError::Infeasible {
-            deadline_s,
-            best_possible_s: best_possible_cycles as f64 / cfg.max_frequency(),
-        }
+    // Graph analyses come from the cache, computed once per graph; a
+    // solve never walks the graph itself.
+    let cpl_cycles = cache.critical_path_cycles();
+    let infeasible = |best_possible_cycles: u64| SolveError::Infeasible {
+        deadline_s,
+        best_possible_s: best_possible_cycles.max(cpl_cycles) as f64 / cfg.max_frequency(),
     };
-    if graph.critical_path_cycles() > deadline_cycles {
-        return Err(infeasible(graph.critical_path_cycles()));
+    if cpl_cycles > deadline_cycles {
+        return Err(infeasible(cpl_cycles));
     }
     if let Some(e) = ex.as_deref_mut() {
         e.deadline_cycles = deadline_cycles;
@@ -327,7 +302,6 @@ fn solve_search(
         }
         let n_min = n_min_found.ok_or_else(|| infeasible(cache.makespan(graph.len().max(1))))?;
         let work_cycles = cache.total_work_cycles();
-        let cpl_cycles = cache.critical_path_cycles();
         // Constant floor over the whole scan: every makespan is ≥ CPL,
         // so no candidate — present or future — can cost less than the
         // total work billed at the cheapest level that fits the CPL.
@@ -336,68 +310,6 @@ fn solve_search(
         let scan_floor = prune
             .then(|| energy_floor(cfg, work_cycles, cpl_cycles, deadline_s))
             .flatten();
-        // Intra-solve parallelism: on a multi-core host and a large
-        // graph, discover the scan cells sequentially (makespans only —
-        // the cheap, plateau-accelerated part), prefetch their idle
-        // summaries, then fan the independent level sweeps out over the
-        // worker pool and merge in ascending-count order with the same
-        // strict-`<` rule. The candidate set and the chosen solution
-        // are identical to the sequential scan's.
-        // Under `cfg(test)` the size gate alone decides, so the arm's
-        // discovery/prefetch/merge logic is exercised even on a
-        // single-core test host (the pool then runs inline).
-        // The unpruned differential reference (`prune == false`) always
-        // takes the plain sequential scan below, keeping it independent
-        // of the parallel arm's discovery and merge code.
-        let use_parallel = prune
-            && !want_explain
-            && graph.len() >= PAR_SCAN_MIN_TASKS
-            && (PAR_SCAN_POOL.threads_for(2) > 1 || cfg!(test));
-        if use_parallel {
-            let mut counts: Vec<usize> = Vec::new();
-            let mut prev_makespan: Option<u64> = None;
-            for n in n_min..=graph.len().max(1) {
-                let makespan = cache.makespan(n);
-                if let Some(prev) = prev_makespan {
-                    if makespan >= prev {
-                        break;
-                    }
-                }
-                prev_makespan = Some(makespan);
-                counts.push(n);
-                if prune && makespan == cpl_cycles {
-                    counters.scan_breaks += 1;
-                    break;
-                }
-            }
-            counters.candidates += counts.len() as u64;
-            counters.parallel_candidates += counts.len() as u64;
-            let summaries = cache.summaries(&counts);
-            let items: Vec<(usize, &IdleSummary)> = counts.iter().copied().zip(summaries).collect();
-            let evals = PAR_SCAN_POOL.map(&items, |&(n, summary)| {
-                best_level_for(summary, n, deadline_s, cfg, ps, sweep)
-            });
-            let mut best: Option<Candidate> = None;
-            for cand in evals.into_iter().flatten() {
-                if best
-                    .as_ref()
-                    .is_none_or(|b| cand.energy.total() < b.energy.total())
-                {
-                    best = Some(cand);
-                }
-            }
-            let best = best.ok_or_else(|| infeasible(cache.makespan(n_min)))?;
-            let schedule = cache.schedule_arc(best.n_procs);
-            return Ok(Solution {
-                strategy,
-                n_procs: best.n_procs,
-                level: best.level,
-                energy: best.energy,
-                makespan_cycles: best.makespan_cycles,
-                makespan_s: best.makespan_cycles as f64 / best.level.freq,
-                schedule,
-            });
-        }
         let mut best: Option<Candidate> = None;
         let mut best_index: Option<usize> = None;
         let mut prev_makespan: Option<u64> = None;
@@ -454,7 +366,7 @@ fn solve_search(
             }
             counters.candidates += 1;
             let mut detail = want_explain.then(|| candidate_detail(n, makespan, was_cached));
-            let cand = best_level_for_impl(
+            let cand = best_level_for(
                 cache.summary(n),
                 n,
                 deadline_s,
@@ -527,7 +439,7 @@ fn solve_search(
         let makespan = summary.makespan_cycles();
         counters.candidates += 1;
         let mut detail = want_explain.then(|| candidate_detail(n, makespan, was_cached));
-        let cand = best_level_for_impl(summary, n, deadline_s, cfg, ps, sweep, detail.as_mut());
+        let cand = best_level_for(summary, n, deadline_s, cfg, ps, sweep, detail.as_mut());
         if let (Some(e), Some(d)) = (ex, detail) {
             e.candidates.push(d);
             if cand.is_some() {
@@ -557,20 +469,10 @@ fn solve_search(
 /// the least-energy one (§4.3) — the sweep is what trades slowdown
 /// against shutdown. Billing goes through [`evaluate_summary`], so the
 /// sweep costs O(levels · procs · log gaps) instead of re-walking the
-/// schedule's tasks at every level.
-pub(crate) fn best_level_for(
-    summary: &IdleSummary,
-    n_procs: usize,
-    deadline_s: f64,
-    cfg: &SchedulerConfig,
-    ps: bool,
-    sweep: Option<&LevelSweep>,
-) -> Option<Candidate> {
-    best_level_for_impl(summary, n_procs, deadline_s, cfg, ps, sweep, None)
-}
-
+/// schedule's tasks at every level. `detail`, when given, receives the
+/// decision-log record of the sweep.
 #[allow(clippy::too_many_arguments)]
-fn best_level_for_impl(
+pub(crate) fn best_level_for(
     summary: &IdleSummary,
     n_procs: usize,
     deadline_s: f64,
@@ -973,67 +875,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential_scan_bitwise() {
-        // Graphs above PAR_SCAN_MIN_TASKS take the parallel candidate-
-        // evaluation arm (forced on under cfg(test) even on one core);
-        // the explained path always runs the sequential scan. Both must
-        // choose the identical solution, to the last bit.
-        let graphs = lamps_taskgraph::gen::layered::stg_group(600, 2, 41)
-            .into_iter()
-            .map(|g| g.scale_weights(310_000))
-            .collect::<Vec<_>>();
-        assert!(graphs.iter().any(|g| g.len() >= PAR_SCAN_MIN_TASKS));
-        for (i, g) in graphs.iter().enumerate() {
-            for factor in [1.2, 2.0, 6.0] {
-                let d = deadline_x(g, factor);
-                for s in [Strategy::Lamps, Strategy::LampsPs] {
-                    let par = solve(s, g, d, &cfg()).unwrap();
-                    let (seq, _ex) = solve_explained(s, g, d, &cfg());
-                    let seq = seq.unwrap();
-                    assert_eq!(par.n_procs, seq.n_procs, "graph {i}, {s}, {factor}x");
-                    assert_eq!(par.level.freq.to_bits(), seq.level.freq.to_bits());
-                    assert_eq!(par.makespan_cycles, seq.makespan_cycles);
-                    assert_eq!(
-                        par.energy.total().to_bits(),
-                        seq.energy.total().to_bits(),
-                        "graph {i}, {s}, {factor}x: parallel arm diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_candidates_counter_moves_on_large_graphs() {
-        // Diagnosis of the benched `parallel_candidates: 0`: the
-        // counter is wired to the parallel scan arm, which requires a
-        // graph of at least PAR_SCAN_MIN_TASKS tasks *and* a multi-core
-        // host (or cfg(test), which forces the arm so this test runs
-        // the same code path everywhere). The Fig. 10 bench workload
-        // has 50-task graphs on a single-core runner, so its zero is
-        // correct, not a mis-wire — this pins the counter actually
-        // counting whenever the arm runs.
-        let g = lamps_taskgraph::gen::layered::stg_group(600, 2, 77)
-            .into_iter()
-            .map(|g| g.scale_weights(310_000))
-            .find(|g| g.len() >= PAR_SCAN_MIN_TASKS)
-            .expect("600-task request yields a graph over the gate");
-        lamps_obs::enable_metrics();
-        let par = lamps_obs::counter("core.scan.parallel_candidates");
-        let all = lamps_obs::counter("core.scan.candidates");
-        let (par_before, all_before) = (par.get(), all.get());
-        solve(Strategy::LampsPs, &g, deadline_x(&g, 4.0), &cfg()).unwrap();
-        let par_delta = par.get() - par_before;
-        let all_delta = all.get() - all_before;
-        lamps_obs::disable_metrics();
-        assert!(par_delta > 0, "the parallel arm must count its candidates");
-        assert!(
-            all_delta >= par_delta,
-            "parallel candidates are a subset of all candidates: {all_delta} < {par_delta}"
-        );
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl Pool {
 
     /// Worker threads a call over `n_items` items would use: the
     /// machine's available parallelism capped by the item count.
-    pub fn threads_for(&self, n_items: usize) -> usize {
+    fn threads_for(&self, n_items: usize) -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)

@@ -23,11 +23,13 @@
 //! heaps (see [`list_schedule_heap_reference`], which is kept as the
 //! executable specification and pinned by the `crates/sched` tests):
 //!
-//! * **Ready tasks** — the priority keys are rank-compressed once per
-//!   run (one `sort_unstable` of `(key, id)` pairs) and the ready set
-//!   becomes a two-level bitset over ranks; pop-min is a summary-word
-//!   scan plus two `trailing_zeros`. Identical order: rank order *is*
-//!   `(key, id)` order.
+//! * **Ready tasks** — the priority keys are rank-compressed (one
+//!   `sort_unstable` of `(key, id)` pairs) and the ready set becomes a
+//!   two-level bitset over ranks; pop-min is a summary-word scan plus
+//!   two `trailing_zeros`. Identical order: rank order *is* `(key, id)`
+//!   order. The ranks are a pure function of the keys, so the workspace
+//!   memoizes them: a run whose keys equal the slice ranked last (every
+//!   run of a processor-count search after the first) skips the sort.
 //! * **Running tasks** — a monotone bucket queue ([`EventQueue`]):
 //!   finish times are pushed in nondecreasing `now` order and popped in
 //!   nondecreasing order, so a radix-style bucket structure (bucket =
@@ -256,16 +258,24 @@ impl EventQueue {
 /// means a run through a warm workspace performs **zero heap
 /// allocations** ([`list_schedule_into`]); materializing an owned
 /// [`Schedule`] afterwards costs exactly the five exact-size arrays the
-/// schedule keeps. The workspace carries no semantic state between runs
-/// — every run clears and refills it — so reusing one workspace
-/// produces schedules identical to fresh [`list_schedule`] calls.
+/// schedule keeps. The only state carried from one run to the next is
+/// the key-keyed ranking: the ranks of the last key slice, reused only
+/// when the next run's keys are equal to it. Ranks are a pure function
+/// of the keys, and everything else is cleared and refilled per run, so
+/// reusing one workspace — across processor counts, graphs, or key
+/// vectors — produces schedules identical to fresh [`list_schedule`]
+/// calls.
 #[derive(Debug, Default)]
 pub struct ListScheduleWorkspace {
+    /// The keys `rank_pairs` and `rank_of` were built from.
+    ranked_keys: Vec<u64>,
     /// `(key, id)` pairs sorted ascending: rank `r`'s task is
     /// `rank_pairs[r].1`.
     rank_pairs: Vec<(u64, u32)>,
     /// Task index → its rank in `rank_pairs`.
     rank_of: Vec<u32>,
+    /// Test-only mutation: reuse the stored ranks without comparing keys.
+    stale_ranks: bool,
     ready: ReadySet,
     running: EventQueue,
     /// Idle processors, most recently freed last; each same-instant
@@ -303,6 +313,7 @@ impl ListScheduleWorkspace {
     /// allocates nothing. `reserve` is a no-op when capacity is already
     /// sufficient; runs against larger inputs simply grow on demand.
     pub fn reserve(&mut self, n_tasks: usize, n_procs: usize) {
+        self.ranked_keys.reserve(n_tasks);
         self.rank_pairs.reserve(n_tasks);
         self.rank_of.reserve(n_tasks);
         self.ready.reserve(n_tasks);
@@ -315,11 +326,6 @@ impl ListScheduleWorkspace {
         self.finish.reserve(n_tasks);
         self.proc.reserve(n_tasks);
         self.seq.reserve(n_tasks);
-    }
-
-    /// Makespan of the most recent [`list_schedule_into`] run.
-    pub fn makespan_cycles(&self) -> u64 {
-        self.finish.iter().copied().max().unwrap_or(0)
     }
 
     /// Peak number of processors held simultaneously during the most
@@ -345,6 +351,16 @@ impl ListScheduleWorkspace {
     /// processor schedule: see [`Self::peak_procs_held`].
     pub fn was_blocked(&self) -> bool {
         self.blocked
+    }
+
+    /// Test-only mutation hook: reuse the ranks of the previous run
+    /// whenever the task count matches, *without* checking that the keys
+    /// are the ones they were built from — the classic stale-memo bug.
+    /// The verification gauntlet proves the list-scheduler differential
+    /// catches it; never enable outside tests.
+    #[doc(hidden)]
+    pub fn mutate_stale_rank_reuse_for_tests(&mut self) {
+        self.stale_ranks = true;
     }
 }
 
@@ -406,16 +422,16 @@ pub fn list_schedule_with(
     materialize(ws, n_procs)
 }
 
-/// Run the list scheduler, leaving the per-task results in `ws` (read
-/// them back via [`ListScheduleWorkspace::makespan_cycles`] or
-/// materialize an owned [`Schedule`] with [`list_schedule_with`]).
+/// Run the list scheduler, leaving the per-task results in `ws`
+/// (materialize an owned [`Schedule`] with [`list_schedule_with`]).
 /// Returns the makespan in cycles.
 ///
 /// Once `ws` has been through a run of at least this size (or was
 /// [`ListScheduleWorkspace::reserve`]d), this performs **zero heap
 /// allocations** — every buffer is cleared and refilled in place (the
-/// rank sort is `sort_unstable`, which is in-place; the event queue
-/// recycles its slot arena through a free list).
+/// rank sort, when the keys changed, is `sort_unstable`, which is
+/// in-place; the event queue recycles its slot arena through a free
+/// list).
 ///
 /// # Panics
 ///
@@ -451,17 +467,27 @@ pub fn list_schedule_into(
 
     // Rank-compress the priority keys: rank order is (key, id) order,
     // so popping the smallest present rank is exactly the ready heap's
-    // pop of the smallest (key, id).
-    let rank_pairs = &mut ws.rank_pairs;
-    rank_pairs.clear();
-    rank_pairs.extend(keys.iter().copied().zip(0..n as u32));
-    rank_pairs.sort_unstable();
-    let rank_of = &mut ws.rank_of;
-    rank_of.clear();
-    rank_of.resize(n, 0);
-    for (r, &(_key, id)) in rank_pairs.iter().enumerate() {
-        rank_of[id as usize] = r as u32;
+    // pop of the smallest (key, id). The ranks depend on the keys alone,
+    // so keys equal to the last ranked slice reuse them as they are.
+    let fresh = if ws.stale_ranks {
+        ws.ranked_keys.len() != n
+    } else {
+        ws.ranked_keys != keys
+    };
+    if fresh {
+        ws.ranked_keys.clear();
+        ws.ranked_keys.extend_from_slice(keys);
+        ws.rank_pairs.clear();
+        ws.rank_pairs.extend(keys.iter().copied().zip(0..n as u32));
+        ws.rank_pairs.sort_unstable();
+        ws.rank_of.clear();
+        ws.rank_of.resize(n, 0);
+        for (r, &(_key, id)) in ws.rank_pairs.iter().enumerate() {
+            ws.rank_of[id as usize] = r as u32;
+        }
     }
+    let rank_pairs = &ws.rank_pairs;
+    let rank_of = &ws.rank_of;
 
     let ready = &mut ws.ready;
     ready.reset(n);

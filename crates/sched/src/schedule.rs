@@ -94,6 +94,9 @@ pub struct Schedule {
     /// `offsets[p]..offsets[p + 1]` is processor `p`'s slice of `order`;
     /// always `n_procs + 1` entries.
     offsets: Vec<usize>,
+    /// Latest finish time, computed once at construction: searches ask
+    /// for it on every probe of a memoized schedule.
+    makespan: u64,
 }
 
 /// Build the CSR `(order, offsets)` arena from per-task processor
@@ -136,14 +139,7 @@ impl Schedule {
         let mut sorted: Vec<TaskId> = (0..start.len() as u32).map(TaskId).collect();
         sorted.sort_by_key(|t| (start[t.index()], finish[t.index()], t.0));
         let (order, offsets) = csr_from_sorted(n_procs, &proc, sorted.iter().copied());
-        Schedule {
-            n_procs,
-            start,
-            finish,
-            proc,
-            order,
-            offsets,
-        }
+        Schedule::from_parts_unchecked(n_procs, start, finish, proc, order, offsets)
     }
 
     /// Assemble a schedule with the exact per-processor execution order
@@ -203,14 +199,7 @@ impl Schedule {
             }
         }
         assert!(seen.into_iter().all(|s| s), "order must cover every task");
-        Schedule {
-            n_procs,
-            start,
-            finish,
-            proc,
-            order,
-            offsets,
-        }
+        Schedule::from_parts_unchecked(n_procs, start, finish, proc, order, offsets)
     }
 
     /// Crate-internal constructor for schedulers that build the arena
@@ -228,6 +217,7 @@ impl Schedule {
         debug_assert_eq!(start.len(), proc.len());
         debug_assert_eq!(offsets.len(), n_procs + 1);
         debug_assert_eq!(*offsets.last().unwrap(), order.len());
+        let makespan = finish.iter().copied().max().unwrap_or(0);
         Schedule {
             n_procs,
             start,
@@ -235,6 +225,7 @@ impl Schedule {
             proc,
             order,
             offsets,
+            makespan,
         }
     }
 
@@ -281,8 +272,9 @@ impl Schedule {
     }
 
     /// Completion time of the whole schedule in cycles.
+    #[inline]
     pub fn makespan_cycles(&self) -> u64 {
-        self.finish.iter().copied().max().unwrap_or(0)
+        self.makespan
     }
 
     /// Total busy cycles of processor `p`.

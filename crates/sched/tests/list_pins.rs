@@ -11,7 +11,10 @@
 //! single-processor runs, width-1 chains, and fan-outs where every
 //! ready task carries an equal key.
 
-use lamps_sched::list::{list_schedule, list_schedule_heap_reference};
+use lamps_sched::deadlines::latest_finish_times;
+use lamps_sched::list::{
+    list_schedule, list_schedule_heap_reference, list_schedule_with, ListScheduleWorkspace,
+};
 use lamps_sched::schedule::{ProcId, Schedule};
 use lamps_taskgraph::gen::layered::stg_group;
 use lamps_taskgraph::rng::Rng;
@@ -180,5 +183,28 @@ fn single_proc_random_dags_match_reference() {
 fn random_stg_graphs_match_reference() {
     for (gi, g) in stg_group(120, 6, 0xF1A9).iter().enumerate() {
         pin_all_patterns(g, &format!("stg/{gi}"));
+    }
+}
+
+/// The workspace's rank memo: one workspace alternated between two
+/// different same-size graphs and key vectors must reproduce the
+/// reference on every run. A key switch re-ranks; a repeat (including
+/// `b` run with the keys `a` just used) reuses the ranks.
+#[test]
+fn alternating_graphs_through_one_workspace_match_reference() {
+    let graphs = stg_group(90, 2, 0xA17E);
+    let (a, b) = (&graphs[0], &graphs[1]);
+    assert_eq!(a.len(), b.len(), "the pair must share a task count");
+    let patterns = key_patterns(a.len());
+    let (ka, kb) = (&patterns[0].1, &patterns[4].1);
+    let a_edf = latest_finish_times(a, 2 * a.critical_path_cycles());
+    let runs = [(a, ka), (a, ka), (b, kb), (a, &a_edf), (b, &a_edf), (b, ka)];
+    let mut ws = ListScheduleWorkspace::new();
+    for n_procs in [1usize, 3, 8] {
+        for (i, &(g, keys)) in runs.iter().enumerate() {
+            let got = list_schedule_with(&mut ws, g, n_procs, keys);
+            let reference = list_schedule_heap_reference(g, n_procs, keys);
+            assert_schedules_equal(&got, &reference, g, &format!("run {i} on {n_procs} procs"));
+        }
     }
 }

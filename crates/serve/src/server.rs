@@ -608,10 +608,11 @@ fn handle_job(shared: &Arc<Shared>, job: Job, bufs: CacheBuffers) -> CacheBuffer
     let _span = lamps_obs::span("serve", "request");
     let cfg = &shared.config.scheduler;
     let req = &job.req;
+    let mut cache = ScheduleCache::for_graph_recycled(&req.graph, bufs);
     let deadline_s = match req.deadline {
         crate::protocol::DeadlineSpec::Seconds(s) => s,
         crate::protocol::DeadlineSpec::Factor(f) => {
-            f * req.graph.critical_path_cycles() as f64 / cfg.max_frequency()
+            f * cache.critical_path_cycles() as f64 / cfg.max_frequency()
         }
     };
     let mut budget = SolveBudget {
@@ -624,7 +625,6 @@ fn handle_job(shared: &Arc<Shared>, job: Job, bufs: CacheBuffers) -> CacheBuffer
         // a backlog degrades answers instead of stretching latencies.
         budget = budget.with_deadline(job.admitted + t);
     }
-    let mut cache = ScheduleCache::for_graph_recycled(&req.graph, bufs);
     flight::record(flight::SERVE_SOLVE_START, req.id, 0, 0);
     let result =
         lamps_core::solve_with_budget_cache(req.strategy, deadline_s, cfg, &mut cache, &budget);

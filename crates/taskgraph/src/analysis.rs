@@ -84,17 +84,6 @@ impl TaskGraph {
         self.total_work_cycles() as f64 / cpl as f64
     }
 
-    /// Lower bound on the number of processors needed to finish within
-    /// `deadline_cycles` at the scheduling (maximum) frequency:
-    /// `⌈Σ w(v) / D⌉` (§4.2). Returns `None` if the deadline is zero.
-    pub fn min_processors_lower_bound(&self, deadline_cycles: u64) -> Option<usize> {
-        if deadline_cycles == 0 {
-            return None;
-        }
-        let work = self.total_work_cycles();
-        Some(work.div_ceil(deadline_cycles).max(1) as usize)
-    }
-
     /// Summary statistics (the columns of Table 2).
     pub fn stats(&self) -> GraphStats {
         GraphStats {
@@ -203,18 +192,6 @@ mod tests {
         }
         let g = b.build().unwrap();
         assert!((g.parallelism() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_processors_lower_bound_matches_formula() {
-        let g = fig4a(); // work = 18
-        assert_eq!(g.min_processors_lower_bound(18), Some(1));
-        assert_eq!(g.min_processors_lower_bound(10), Some(2));
-        assert_eq!(g.min_processors_lower_bound(9), Some(2));
-        assert_eq!(g.min_processors_lower_bound(6), Some(3));
-        assert_eq!(g.min_processors_lower_bound(0), None);
-        // Even a huge deadline needs one processor.
-        assert_eq!(g.min_processors_lower_bound(u64::MAX), Some(1));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Mutation check: six hand-seeded scheduler/evaluator bugs, each in a
-//! test-only buggy copy of the production logic, must be caught by the
-//! independent validator. If any of these pass silently the verification
-//! subsystem is not pulling its weight.
+//! Mutation check: seven hand-seeded scheduler/evaluator bugs, each in
+//! a test-only buggy copy of the production logic or behind a test-only
+//! hook, must be caught by the independent validator or a differential.
+//! If any of these pass silently the verification subsystem is not
+//! pulling its weight.
 
 use lamps_core::{solve, SchedulerConfig, Solution, Strategy};
 use lamps_power::OperatingPoint;
@@ -277,4 +278,47 @@ fn mutation_deadline_overrun_is_caught() {
             .any(|x| matches!(x, Violation::DeadlineOverrun { .. })),
         "overshot stretch validated cleanly: {v:?}"
     );
+}
+
+/// Seeded bug 7: a stale rank memo — the list-scheduler workspace reuses
+/// the EDF ranks of its previous run without checking that the keys are
+/// the ones they were built from. The stale schedule is still a valid
+/// schedule (precedence and exclusivity hold), so the validator cannot
+/// see it; the list-scheduler differential against the heap reference
+/// must.
+#[test]
+fn mutation_stale_rank_reuse_is_caught() {
+    use lamps_sched::list::{
+        list_schedule_heap_reference, list_schedule_with, ListScheduleWorkspace,
+    };
+
+    // Two independent tasks on one processor, ranked in opposite orders
+    // by the two key vectors.
+    let mut b = GraphBuilder::new();
+    b.add_task(5);
+    b.add_task(3);
+    let g = b.build().unwrap();
+    let (first, second) = ([1u64, 2], [2u64, 1]);
+    let run = |mutate: bool| {
+        let mut ws = ListScheduleWorkspace::new();
+        list_schedule_with(&mut ws, &g, 1, &first);
+        if mutate {
+            ws.mutate_stale_rank_reuse_for_tests();
+        }
+        list_schedule_with(&mut ws, &g, 1, &second)
+    };
+    let reference = list_schedule_heap_reference(&g, 1, &second);
+
+    let stale = run(true);
+    assert!(
+        check_schedule(&g, &stale).is_empty(),
+        "the stale schedule is structurally valid; only a differential sees it"
+    );
+    assert_ne!(
+        stale, reference,
+        "stale ranks reproduced the reference schedule: the differential is blind"
+    );
+
+    // Control: the unmutated workspace re-ranks and matches the reference.
+    assert_eq!(run(false), reference, "control case diverged");
 }
