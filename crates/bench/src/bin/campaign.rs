@@ -24,8 +24,8 @@
 //! Correctness is held the same way as `throughput`: the grouped pass
 //! re-solves the **entire** corpus and its per-strategy energy totals
 //! must match the batch pass bit-for-bit; a strided subsample is
-//! additionally re-solved through [`solve_with_cache_unpruned`] on a
-//! shortcut-free cache and compared cell by cell; and the giant graph's
+//! additionally re-solved by the exhaustive, cache-free reference search
+//! ([`solve_reference`]) and compared cell by cell; and the giant graph's
 //! batch cells are pinned against grouped solves. One differing bit
 //! aborts the run with `all_bitwise_equal: false`.
 //!
@@ -40,14 +40,14 @@ use lamps_bench::suite::DEADLINE_FACTORS;
 use lamps_bench::timing::{min_over_reps, sample_seconds};
 use lamps_core::cache::ScheduleCache;
 use lamps_core::{
-    evaluate_graphs, solve_with_cache, solve_with_cache_unpruned, BatchCell, BatchJob,
-    SchedulerConfig, SolveError, Strategy,
+    evaluate_graphs, solve_with_cache, BatchCell, BatchJob, SchedulerConfig, SolveError, Strategy,
 };
 use lamps_obs::json::{parse, Value};
 use lamps_sched::latest_finish_times;
 use lamps_sched::list::{list_schedule_into, ListScheduleWorkspace};
 use lamps_taskgraph::gen::layered::{generate, stg_group, LayeredConfig};
 use lamps_taskgraph::{TaskGraph, COARSE_GRAIN_CYCLES_PER_UNIT};
+use lamps_verify::solve_reference;
 use std::fmt::Write as _;
 
 /// Small-graph sizes the campaign corpus cycles through (STG units,
@@ -209,7 +209,7 @@ fn run_per_request(
     totals
 }
 
-/// Compare one batch cell row against shortcut-free unpruned re-solves
+/// Compare one batch cell row against exhaustive reference re-solves
 /// of the same graph. Returns false (and prints the first divergence)
 /// if any bit differs.
 fn unpruned_row_matches(
@@ -218,12 +218,10 @@ fn unpruned_row_matches(
     job: &BatchJob<'_>,
     row: &CellRow,
 ) -> bool {
-    let mut cache = ScheduleCache::for_graph(job.graph);
-    cache.set_shortcuts_enabled(false);
     let mut k = 0;
     for &d in job.deadlines_s {
         for &s in strategies.iter() {
-            let reference = solve_with_cache_unpruned(s, d, cfg, &mut cache);
+            let reference = solve_reference(s, job.graph, d, cfg, None).map(|b| b.solution);
             let ok = match (&row[k], &reference) {
                 (Ok(a), Ok(b)) => {
                     a.n_procs == b.n_procs
@@ -484,8 +482,8 @@ fn main() {
         sample_jobs.len()
     );
 
-    // Shortcut-free anchor: every retained stride row re-solved through
-    // the unpruned engine on a shortcut-free cache.
+    // Shortcut-free anchor: every retained stride row re-solved by the
+    // exhaustive reference search.
     let (unpruned_s, unpruned_equal) = sample_seconds(|| {
         kept.iter()
             .all(|(job_idx, row)| unpruned_row_matches(&strategies, &cfg, &jobs[*job_idx], row))

@@ -14,10 +14,11 @@
 //! scratch worktree, run `throughput --out seed.json` there, and pass
 //! that file here — see EXPERIMENTS.md for the recipe.
 //!
-//! Correctness is gated in-run: the whole workload is re-solved with
-//! every solver shortcut disabled ([`solve_with_cache_unpruned`] on a
-//! shortcut-free cache) and the per-strategy energy totals must agree
-//! with the pruned engine bit-for-bit; when the baseline file covers
+//! Correctness is gated in-run: the whole workload is re-solved by the
+//! exhaustive, cache-free reference search
+//! ([`lamps_verify::solve_reference`]) and the per-strategy energy
+//! totals must agree with the pruned engine bit-for-bit; when the
+//! baseline file covers
 //! the same workload its recorded totals must match too. The binary
 //! aborts on a single differing bit.
 //!
@@ -39,9 +40,10 @@ use lamps_bench::cli::Options;
 use lamps_bench::suite::{Granularity, Suite, DEADLINE_FACTORS};
 use lamps_bench::timing::{min_over_reps, sample_seconds};
 use lamps_core::cache::ScheduleCache;
-use lamps_core::{solve_with_cache, solve_with_cache_unpruned, SchedulerConfig, Strategy};
+use lamps_core::{solve_with_cache, SchedulerConfig, Strategy};
 use lamps_obs::json::{parse, Value};
 use lamps_taskgraph::TaskGraph;
+use lamps_verify::solve_reference;
 use std::fmt::Write as _;
 
 /// Per-strategy energy totals accumulated in workload order.
@@ -120,22 +122,20 @@ fn run_warm(
     })
 }
 
-/// The shortcut-free reference: fresh caches with the plateau and
-/// lower-bound skips disabled, driven through the unpruned solver.
+/// The exhaustive reference: every cell solved from scratch by the
+/// cache-free, shortcut-free [`solve_reference`].
 fn run_unpruned(graphs: &[TaskGraph], cfg: &SchedulerConfig) -> Totals {
-    let mut caches: Vec<ScheduleCache<'_>> = graphs
-        .iter()
-        .map(|g| {
-            let mut c = ScheduleCache::for_graph(g);
-            c.set_shortcuts_enabled(false);
-            c
-        })
-        .collect();
-    run_cells(graphs, &mut caches, cfg, |strategy, d, cfg, cache| {
-        solve_with_cache_unpruned(strategy, d, cfg, cache)
-            .ok()
-            .map(|s| s.energy.total())
-    })
+    let mut t = Totals::default();
+    for graph in graphs {
+        for &factor in &DEADLINE_FACTORS {
+            let deadline_s = factor * graph.critical_path_cycles() as f64 / cfg.max_frequency();
+            for (si, strategy) in Strategy::all().into_iter().enumerate() {
+                let r = solve_reference(strategy, graph, deadline_s, cfg, None);
+                t.add(si, r.ok().map(|b| b.solution.energy.total()));
+            }
+        }
+    }
+    t
 }
 
 /// The recorded baseline this run is compared against.

@@ -71,8 +71,11 @@ fn main() {
     );
     let outcome = run(&fz, &scfg);
     eprintln!(
-        "fuzz: {} iterations run, {} solutions validated, {} instances proven against the oracle",
-        outcome.iterations_run, outcome.checked_solutions, outcome.oracle_instances
+        "fuzz: {} iterations run, {} solutions validated, {} instances proven against the oracle, {} budgeted solves matched against the reference",
+        outcome.iterations_run,
+        outcome.checked_solutions,
+        outcome.oracle_instances,
+        outcome.budget_checks
     );
     if let Some(f) = &outcome.failure {
         failed = true;

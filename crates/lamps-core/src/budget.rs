@@ -1,31 +1,34 @@
 //! Budgeted, cancellable *anytime* solving.
 //!
-//! [`solve_with_budget`] runs the same search as [`crate::solve`] but
-//! threads a [`SolveBudget`] through the LAMPS processor scan and the
-//! +PS level sweep. The unit of accounting — a *step* — is one
-//! `(processor count, level)` candidate evaluation. Before every step
-//! the solver checks a cooperative [`CancelToken`] and the remaining
-//! step budget; when either trips, it stops and returns the best
-//! feasible candidate found so far, tagged
-//! [`Completeness::Degraded`] with how much of the search space it
-//! covered. A search that runs to natural completion is tagged
-//! [`Completeness::Complete`] and returns bit-identical results to
-//! [`crate::solve`].
+//! [`solve_with_budget`] runs the one LAMPS/S&S search of
+//! [`crate::solve`] with a [`SolveBudget`] metering it. The unit of
+//! accounting — a *step* — is one charged `(processor count, level)`
+//! candidate: one per level at or above the count's required frequency
+//! with PS, one per count without. A sweep the energy floor skips is
+//! charged too, its full level count in the same enumeration order (or
+//! whatever budget is left, which then interrupts the search), so the
+//! budget buys the same prefix of the enumeration whether or not a
+//! candidate in it was provably unable to win. Before every step the
+//! search checks a cooperative [`CancelToken`], the wall clock and the
+//! remaining steps; when any trips, it stops and returns the best
+//! feasible candidate found so far, tagged [`Completeness::Degraded`]
+//! with how much of the search space it covered. A search that runs to
+//! natural completion is tagged [`Completeness::Complete`] and returns
+//! bit-identical results to [`crate::solve`].
 //!
 //! The anytime property: candidates are enumerated in a fixed,
 //! budget-independent order (processor counts ascending from the
-//! minimal feasible count, levels ascending per count), and the best
+//! search's starting count, levels ascending per count), and the best
 //! candidate is tracked by strict energy comparison. A search with a
 //! larger budget therefore sees a superset (prefix-wise) of the
 //! candidates a smaller budget sees, so **more budget never yields
-//! worse energy** — property-tested in this module and fuzzed in
-//! `lamps-verify`.
+//! worse energy** — property-tested in this module and fuzzed against
+//! the exhaustive reference search in `lamps-verify`.
 
 use crate::cache::ScheduleCache;
 use crate::config::SchedulerConfig;
-use crate::solve::Candidate;
+use crate::solve::search;
 use crate::types::{Solution, SolveError, Strategy};
-use lamps_energy::evaluate_summary;
 use lamps_taskgraph::TaskGraph;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -127,31 +130,97 @@ pub struct BudgetedSolution {
     pub solution: Solution,
     /// Whether the search was exhaustive or truncated.
     pub completeness: Completeness,
-    /// Candidate evaluations spent.
+    /// Steps charged: candidates evaluated plus the candidates of every
+    /// sweep the energy floor skipped (see the module docs). A search
+    /// the energy floor ends early charges fewer steps than the full
+    /// enumeration would.
     pub steps: u64,
 }
 
-struct Meter {
+/// The step meter one search runs under: the budget's limits plus the
+/// steps charged so far. An unlimited meter is never exhausted and
+/// costs a few predictable branches per step.
+pub(crate) struct Meter<'b> {
     spent: u64,
     max: u64,
-    token: Option<CancelToken>,
+    token: Option<&'b CancelToken>,
     deadline: Option<Instant>,
+    interrupted: bool,
 }
 
-impl Meter {
-    fn exhausted(&self) -> bool {
-        self.spent >= self.max
-            || self.token.as_ref().is_some_and(|t| t.is_cancelled())
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
+impl<'b> Meter<'b> {
+    /// A meter for `budget`.
+    pub(crate) fn new(budget: &'b SolveBudget) -> Self {
+        Meter {
+            spent: 0,
+            max: budget.max_steps.unwrap_or(u64::MAX),
+            token: budget.token.as_ref(),
+            deadline: budget.deadline,
+            interrupted: false,
+        }
     }
 
-    fn step(&mut self) -> bool {
-        if self.exhausted() {
-            false
-        } else {
-            self.spent += 1;
-            true
+    /// A meter that never stops the search.
+    pub(crate) fn unlimited() -> Meter<'static> {
+        static UNLIMITED: SolveBudget = SolveBudget {
+            max_steps: None,
+            token: None,
+            deadline: None,
+        };
+        Meter::new(&UNLIMITED)
+    }
+
+    /// Whether the wall-clock deadline has passed.
+    pub(crate) fn deadline_passed(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    fn tripped(&self) -> bool {
+        self.token.is_some_and(CancelToken::is_cancelled) || self.deadline_passed()
+    }
+
+    /// Whether the search must stop before its next step; marks the
+    /// search interrupted if so.
+    pub(crate) fn exhausted(&mut self) -> bool {
+        if self.spent >= self.max || self.tripped() {
+            self.interrupted = true;
         }
+        self.interrupted
+    }
+
+    /// Charge one step; `false` (and interrupted) when none is left.
+    pub(crate) fn step(&mut self) -> bool {
+        self.charge(1)
+    }
+
+    /// Charge `k` steps at once — a skipped sweep. When fewer than `k`
+    /// remain, charges what is left, marks the search interrupted and
+    /// returns `false`, exactly where a step-by-step sweep would have
+    /// stopped.
+    pub(crate) fn charge(&mut self, k: u64) -> bool {
+        let room = if self.tripped() {
+            0
+        } else {
+            self.max - self.spent
+        };
+        self.spent += k.min(room);
+        self.interrupted |= k > room;
+        k <= room
+    }
+
+    /// Stop the search without charging (an expired admission).
+    pub(crate) fn interrupt(&mut self) {
+        self.interrupted = true;
+    }
+
+    /// Steps charged so far.
+    pub(crate) fn spent(&self) -> u64 {
+        self.spent
+    }
+
+    /// Whether the budget stopped the search.
+    pub(crate) fn interrupted(&self) -> bool {
+        self.interrupted
     }
 }
 
@@ -180,8 +249,8 @@ pub fn solve_with_budget_cache(
     budget: &SolveBudget,
 ) -> Result<BudgetedSolution, SolveError> {
     let _span = lamps_obs::span("core", "solve_budget");
-    let stats_before = cache.stats();
-    let result = budget_search(strategy, deadline_s, cfg, cache, budget);
+    let mut meter = Meter::new(budget);
+    let result = search(strategy, deadline_s, cfg, cache, None, None, &mut meter);
     if let Err(SolveError::BudgetExhausted { explored, total }) = &result {
         lamps_obs::flight::record(
             lamps_obs::flight::CORE_BUDGET_EXPIRED,
@@ -191,246 +260,12 @@ pub fn solve_with_budget_cache(
         );
     }
     if lamps_obs::metrics_enabled() {
-        let delta = cache.stats().since(&stats_before);
         lamps_obs::counter("core.budget.calls").inc();
         if matches!(result, Err(SolveError::BudgetExhausted { .. })) {
             lamps_obs::counter("core.budget.exhausted").inc();
         }
-        lamps_obs::counter("core.cache.schedule_hits").add(delta.schedule_hits);
-        lamps_obs::counter("core.cache.schedule_misses").add(delta.schedule_misses);
-        lamps_obs::counter("core.cache.summary_hits").add(delta.summary_hits);
-        lamps_obs::counter("core.cache.summary_misses").add(delta.summary_misses);
     }
     result
-}
-
-fn budget_search(
-    strategy: Strategy,
-    deadline_s: f64,
-    cfg: &SchedulerConfig,
-    cache: &mut ScheduleCache<'_>,
-    budget: &SolveBudget,
-) -> Result<BudgetedSolution, SolveError> {
-    let graph = cache.graph();
-    if !deadline_s.is_finite() || deadline_s <= 0.0 {
-        return Err(SolveError::BadDeadline(deadline_s));
-    }
-    let deadline_cycles = cfg.deadline_cycles(deadline_s);
-    let cpl_cycles = cache.critical_path_cycles();
-    let infeasible = |best_possible_cycles: u64| SolveError::Infeasible {
-        deadline_s,
-        best_possible_s: best_possible_cycles.max(cpl_cycles) as f64 / cfg.max_frequency(),
-    };
-    if cpl_cycles > deadline_cycles {
-        return Err(infeasible(cpl_cycles));
-    }
-
-    let ps = strategy.uses_ps();
-    let sleep = ps.then_some(&cfg.sleep);
-    let levels_per_n = if ps { cfg.levels.len() as u64 } else { 1 };
-
-    // A wall-clock deadline that has already expired at admission: skip
-    // the scan entirely and hand back one best-effort candidate tagged
-    // Degraded{explored: 0}. Without this, the scan's "within one step"
-    // cancellation latency would still evaluate a candidate before
-    // noticing, which an overloaded caller admitting with an expired
-    // deadline cannot afford.
-    if budget.deadline.is_some_and(|d| Instant::now() >= d) {
-        return expired_fallback(strategy, deadline_s, cfg, cache, levels_per_n);
-    }
-
-    let mut meter = Meter {
-        spent: 0,
-        max: budget.max_steps.unwrap_or(u64::MAX),
-        token: budget.token.clone(),
-        deadline: budget.deadline,
-    };
-
-    let mut best: Option<Candidate> = None;
-    let mut interrupted = false;
-    let total;
-    let none_error;
-
-    if strategy.searches_proc_count() {
-        let n_min = cache
-            .min_feasible_procs(deadline_cycles)
-            .ok_or_else(|| infeasible(cache.makespan(graph.len().max(1))))?;
-        let n_hi = graph.len().max(1);
-        total = (n_hi - n_min + 1) as u64 * levels_per_n;
-        let mut prev_makespan: Option<u64> = None;
-        'scan: for n in n_min..=n_hi {
-            // Check the natural end of the scan *before* the budget, so a
-            // budget of exactly the full search's step count still reports
-            // Complete. The makespan lookup may run one list schedule past
-            // an exhausted budget — that is the "within one scheduling
-            // step" cancellation latency.
-            let makespan = cache.makespan(n);
-            if let Some(prev) = prev_makespan {
-                if makespan >= prev {
-                    break;
-                }
-            }
-            prev_makespan = Some(makespan);
-            if meter.exhausted() {
-                interrupted = true;
-                break;
-            }
-            let summary = cache.summary(n);
-            let required_freq = summary.makespan_cycles() as f64 / deadline_s;
-            for level in cfg.levels.at_least(required_freq) {
-                if !meter.step() {
-                    interrupted = true;
-                    break 'scan;
-                }
-                if let Ok(energy) = evaluate_summary(summary, level, deadline_s, sleep) {
-                    let c = Candidate {
-                        n_procs: n,
-                        level: *level,
-                        energy,
-                        makespan_cycles: makespan,
-                    };
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| c.energy.total() < b.energy.total())
-                    {
-                        best = Some(c);
-                    }
-                }
-                if !ps {
-                    break;
-                }
-            }
-        }
-        none_error = infeasible(cache.makespan(n_min));
-    } else {
-        let mut n = cache.max_useful_procs();
-        if cache.makespan(n) > deadline_cycles {
-            n = cache
-                .min_feasible_procs(deadline_cycles)
-                .ok_or_else(|| infeasible(cache.makespan(n)))?;
-        }
-        total = levels_per_n;
-        let makespan = cache.makespan(n);
-        let summary = cache.summary(n);
-        let required_freq = summary.makespan_cycles() as f64 / deadline_s;
-        for level in cfg.levels.at_least(required_freq) {
-            if !meter.step() {
-                interrupted = true;
-                break;
-            }
-            if let Ok(energy) = evaluate_summary(summary, level, deadline_s, sleep) {
-                let c = Candidate {
-                    n_procs: n,
-                    level: *level,
-                    energy,
-                    makespan_cycles: makespan,
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|b| c.energy.total() < b.energy.total())
-                {
-                    best = Some(c);
-                }
-            }
-            if !ps {
-                break;
-            }
-        }
-        none_error = infeasible(makespan);
-    }
-
-    match best {
-        Some(c) => {
-            let schedule = cache.schedule_arc(c.n_procs);
-            let solution = Solution {
-                strategy,
-                n_procs: c.n_procs,
-                level: c.level,
-                energy: c.energy,
-                makespan_cycles: c.makespan_cycles,
-                makespan_s: c.makespan_cycles as f64 / c.level.freq,
-                schedule,
-            };
-            Ok(BudgetedSolution {
-                solution,
-                completeness: if interrupted {
-                    Completeness::Degraded {
-                        explored: meter.spent,
-                        total,
-                    }
-                } else {
-                    Completeness::Complete
-                },
-                steps: meter.spent,
-            })
-        }
-        None if interrupted => Err(SolveError::BudgetExhausted {
-            explored: meter.spent,
-            total,
-        }),
-        None => Err(none_error),
-    }
-}
-
-/// Best-effort result for a budget whose wall-clock deadline expired
-/// before the search began: pick the cheapest processor count that
-/// still meets the schedule deadline, take the first operating level
-/// that evaluates feasibly, and report `Degraded { explored: 0 }`.
-/// Costs one list schedule and at most one energy evaluation per level.
-fn expired_fallback(
-    strategy: Strategy,
-    deadline_s: f64,
-    cfg: &SchedulerConfig,
-    cache: &mut ScheduleCache<'_>,
-    levels_per_n: u64,
-) -> Result<BudgetedSolution, SolveError> {
-    let graph = cache.graph();
-    let deadline_cycles = cfg.deadline_cycles(deadline_s);
-    let cpl_cycles = cache.critical_path_cycles();
-    let infeasible = |best_possible_cycles: u64| SolveError::Infeasible {
-        deadline_s,
-        best_possible_s: best_possible_cycles.max(cpl_cycles) as f64 / cfg.max_frequency(),
-    };
-    let ps = strategy.uses_ps();
-    let sleep = ps.then_some(&cfg.sleep);
-    let (n, total) = if strategy.searches_proc_count() {
-        let n_min = cache
-            .min_feasible_procs(deadline_cycles)
-            .ok_or_else(|| infeasible(cache.makespan(graph.len().max(1))))?;
-        let n_hi = graph.len().max(1);
-        (n_min, (n_hi - n_min + 1) as u64 * levels_per_n)
-    } else {
-        let mut n = cache.max_useful_procs();
-        if cache.makespan(n) > deadline_cycles {
-            n = cache
-                .min_feasible_procs(deadline_cycles)
-                .ok_or_else(|| infeasible(cache.makespan(n)))?;
-        }
-        (n, levels_per_n)
-    };
-    let makespan = cache.makespan(n);
-    let summary = cache.summary(n);
-    let required_freq = summary.makespan_cycles() as f64 / deadline_s;
-    for level in cfg.levels.at_least(required_freq) {
-        if let Ok(energy) = evaluate_summary(summary, level, deadline_s, sleep) {
-            let schedule = cache.schedule_arc(n);
-            let solution = Solution {
-                strategy,
-                n_procs: n,
-                level: *level,
-                energy,
-                makespan_cycles: makespan,
-                makespan_s: makespan as f64 / level.freq,
-                schedule,
-            };
-            return Ok(BudgetedSolution {
-                solution,
-                completeness: Completeness::Degraded { explored: 0, total },
-                steps: 0,
-            });
-        }
-    }
-    Err(SolveError::BudgetExhausted { explored: 0, total })
 }
 
 #[cfg(test)]
@@ -494,7 +329,7 @@ mod tests {
                     Ok(b) => {
                         let e = b.solution.energy.total();
                         assert!(
-                            e <= prev + 1e-15,
+                            e <= prev,
                             "{s}: budget {steps} worsened energy {e} > {prev}"
                         );
                         prev = e;

@@ -119,8 +119,8 @@ pub struct ScheduleCache<'g> {
     /// or above `width` provably has this makespan (see
     /// [`ScheduleCache::makespan`]).
     plateau: Option<(usize, u64)>,
-    shortcuts_enabled: bool,
     lb_off_by_one: bool,
+    meter_first: bool,
 }
 
 impl<'g> ScheduleCache<'g> {
@@ -190,23 +190,9 @@ impl<'g> ScheduleCache<'g> {
             work_cycles: graph.total_work_cycles(),
             cpl_cycles,
             plateau: None,
-            shortcuts_enabled: true,
             lb_off_by_one: false,
+            meter_first: false,
         }
-    }
-
-    /// Disable the cache's scheduling shortcuts, making the reference
-    /// path exhaustive. Exactly three shortcuts are controlled: the
-    /// width-plateau makespan answer ([`Self::makespan`]), the
-    /// lower-bound probe skip in [`Self::min_feasible_procs_with`], and
-    /// the critical-path early stop in [`Self::max_useful_procs_with`].
-    /// With the flag off, every probe is answered by a real
-    /// list-scheduling run and every scan runs to its plain
-    /// strict-decrease termination. The differential suite uses this to
-    /// build the unpruned reference path; solutions must be bitwise
-    /// identical either way.
-    pub fn set_shortcuts_enabled(&mut self, enabled: bool) {
-        self.shortcuts_enabled = enabled;
     }
 
     /// Test-only mutation hook: compute `LB(m)` as if for `m − 1`
@@ -216,6 +202,21 @@ impl<'g> ScheduleCache<'g> {
     #[doc(hidden)]
     pub fn mutate_lb_off_by_one_for_tests(&mut self) {
         self.lb_off_by_one = true;
+    }
+
+    /// Test-only mutation hook: searches on this cache consult the step
+    /// meter *before* testing the natural end of the LAMPS scan, the
+    /// classic reordering that makes a budget of exactly the full step
+    /// count report `Degraded`. The verification gauntlet proves the
+    /// budget differential catches it; never enable outside tests.
+    #[doc(hidden)]
+    pub fn mutate_meter_before_scan_end_for_tests(&mut self) {
+        self.meter_first = true;
+    }
+
+    /// Whether [`Self::mutate_meter_before_scan_end_for_tests`] is on.
+    pub(crate) fn meter_before_scan_end(&self) -> bool {
+        self.meter_first
     }
 
     /// Total work of the graph in cycles (cached).
@@ -371,12 +372,10 @@ impl<'g> ScheduleCache<'g> {
             self.stats.schedule_hits += 1;
             return s.makespan_cycles();
         }
-        if self.shortcuts_enabled {
-            if let Some((width, makespan)) = self.plateau {
-                if n >= width {
-                    self.stats.plateau_hits += 1;
-                    return makespan;
-                }
+        if let Some((width, makespan)) = self.plateau {
+            if n >= width {
+                self.stats.plateau_hits += 1;
+                return makespan;
             }
         }
         self.schedule(n).makespan_cycles()
@@ -405,10 +404,8 @@ impl<'g> ScheduleCache<'g> {
         // Once the makespan reaches the critical path no further count
         // can strictly improve it (every makespan is ≥ CPL), so the
         // strict-decrease scan would stop at the next count anyway —
-        // stop here and skip scheduling it. The exhaustive reference
-        // (shortcuts disabled) keeps probing and terminates on the plain
-        // strict-decrease rule instead.
-        while best < cap && (best_makespan > self.cpl_cycles || !self.shortcuts_enabled) {
+        // stop here and skip scheduling it.
+        while best < cap && best_makespan > self.cpl_cycles {
             let n = best + 1;
             let cached = self.is_cached(n);
             let m = self.makespan(n);
@@ -454,7 +451,7 @@ impl<'g> ScheduleCache<'g> {
             // fits, so this only fires when the lower-bound seeding and
             // the probe ladder disagree — it is a guard, and the hook
             // for the gauntlet's off-by-one mutation check.
-            if self.shortcuts_enabled && self.lower_bound_cycles(mid) > deadline_cycles {
+            if self.lower_bound_cycles(mid) > deadline_cycles {
                 self.stats.probes_pruned += 1;
                 lo = mid + 1;
                 continue;
@@ -663,24 +660,25 @@ mod tests {
     fn plateau_makespans_match_real_scheduling() {
         // The width plateau answers makespan queries for n ≥ width
         // without running the list scheduler. Those answers must be
-        // identical to what scheduling would produce, on every graph
-        // shape and processor count.
+        // identical to what a plain list-scheduling run under the same
+        // canonical keys produces, on every graph shape and count.
         let graphs = {
             let mut gs = lamps_taskgraph::gen::layered::stg_group(40, 3, 7);
             gs.push(fig4a());
             gs
         };
         for (i, g) in graphs.iter().enumerate() {
+            let keys = latest_finish_times(g, g.critical_path_cycles());
+            let plain = |n: usize| lamps_sched::list::list_schedule(g, n, &keys).makespan_cycles();
             let mut with = ScheduleCache::for_graph(g);
-            let mut without = ScheduleCache::for_graph(g);
-            without.set_shortcuts_enabled(false);
             for n in 1..=g.len() {
-                assert_eq!(with.makespan(n), without.makespan(n), "graph {i}, n {n}");
+                assert_eq!(with.makespan(n), plain(n), "graph {i}, n {n}");
             }
+            assert!(with.stats().plateau_hits > 0 || g.len() == 1, "graph {i}");
             // Force-schedule every count on the plateau cache and
             // confirm the real schedules agree with the shortcut too.
             for n in 1..=g.len() {
-                assert_eq!(with.schedule(n).makespan_cycles(), without.makespan(n));
+                assert_eq!(with.schedule(n).makespan_cycles(), plain(n));
             }
         }
     }
@@ -739,17 +737,32 @@ mod tests {
     #[test]
     fn lb_probe_skip_preserves_min_feasible() {
         // The binary search may skip probes whose lower bound already
-        // exceeds the deadline; the returned count must not change.
+        // exceeds the deadline; the returned count must be the one the
+        // plain binary search over list-scheduling runs finds on the
+        // same ladder.
         let graphs = lamps_taskgraph::gen::layered::stg_group(60, 2, 11);
         for (i, g) in graphs.iter().enumerate() {
             let cpl = g.critical_path_cycles();
             for d in [cpl, cpl + cpl / 2, 2 * cpl, 4 * cpl] {
+                let keys = latest_finish_times(g, d);
+                let fits =
+                    |n: usize| lamps_sched::list::list_schedule(g, n, &keys).makespan_cycles() <= d;
+                let (mut lo, mut hi) = (g.total_work_cycles().div_ceil(d).max(1) as usize, g.len());
+                let plain = fits(hi).then(|| {
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        if fits(mid) {
+                            hi = mid;
+                        } else {
+                            lo = mid + 1;
+                        }
+                    }
+                    lo
+                });
                 let mut pruned = ScheduleCache::new(g, d);
-                let mut plain = ScheduleCache::new(g, d);
-                plain.set_shortcuts_enabled(false);
                 assert_eq!(
                     pruned.min_feasible_procs(d),
-                    plain.min_feasible_procs(d),
+                    plain,
                     "graph {i}, deadline {d}"
                 );
             }

@@ -13,8 +13,9 @@
 
 use crate::cache::ScheduleCache;
 use crate::config::SchedulerConfig;
-use crate::solve::{best_level_for, solve};
+use crate::solve::{best_level_constrained, solve};
 use crate::types::{SolveError, Strategy};
+use lamps_energy::LevelSweep;
 use lamps_power::OperatingPoint;
 use lamps_sched::list::list_schedule;
 use lamps_sched::Schedule;
@@ -111,10 +112,19 @@ pub fn genetic_solve(
         .min(n_max);
 
     let edf_keys = lamps_sched::deadlines::latest_finish_times(graph, deadline_cycles);
+    let sweep = LevelSweep::new(cfg.levels.points(), &cfg.sleep);
     let fitness = |ind: &Individual| -> Option<(f64, usize, OperatingPoint)> {
         let schedule = list_schedule(graph, ind.n_procs, &ind.keys);
         let summary = lamps_sched::IdleSummary::new(&schedule);
-        let cand = best_level_for(&summary, ind.n_procs, deadline_s, cfg, true, None, None)?;
+        let required_freq = summary.makespan_cycles() as f64 / deadline_s;
+        let cand = best_level_constrained(
+            &summary,
+            ind.n_procs,
+            required_freq,
+            deadline_s,
+            true,
+            &sweep,
+        )?;
         Some((cand.energy.total(), cand.n_procs, cand.level))
     };
 

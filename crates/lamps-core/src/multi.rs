@@ -21,6 +21,7 @@ use crate::cache::ScheduleCache;
 use crate::config::SchedulerConfig;
 use crate::solve::{best_level_constrained, Candidate};
 use crate::types::{Solution, SolveError, Strategy};
+use lamps_energy::LevelSweep;
 use lamps_sched::deadlines::latest_finish_times_with;
 use lamps_sched::Schedule;
 use lamps_taskgraph::TaskGraph;
@@ -153,10 +154,11 @@ pub fn solve_with_deadlines(
     let mut cache = ScheduleCache::with_keys(graph, lf.clone());
     let ps = strategy.uses_ps();
 
+    let sweep = LevelSweep::new(cfg.levels.points(), &cfg.sleep);
     let evaluate_n = |cache: &mut ScheduleCache<'_>, n: usize| -> Option<Candidate> {
         let (schedule, summary) = cache.schedule_and_summary(n);
         let req = required_frequency(schedule, &lf, f_max);
-        best_level_constrained(summary, n, req, horizon_s, cfg, ps)
+        best_level_constrained(summary, n, req, horizon_s, ps, &sweep)
     };
 
     let best = if strategy.searches_proc_count() {

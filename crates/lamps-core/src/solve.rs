@@ -1,5 +1,6 @@
 //! The solver: S&S, LAMPS, and their +PS variants (§4.1–§4.3).
 
+use crate::budget::{BudgetedSolution, Completeness, Meter, SolveBudget};
 use crate::cache::ScheduleCache;
 use crate::config::SchedulerConfig;
 use crate::explain::{
@@ -7,7 +8,7 @@ use crate::explain::{
     MAX_GAP_VERDICTS,
 };
 use crate::types::{Solution, SolveError, Strategy};
-use lamps_energy::{evaluate_summary, min_sleep_cycles, EnergyBreakdown, LevelSweep};
+use lamps_energy::{EnergyBreakdown, LevelSweep};
 use lamps_power::OperatingPoint;
 use lamps_sched::{IdleSummary, ProcId};
 use lamps_taskgraph::TaskGraph;
@@ -109,15 +110,7 @@ pub fn solve_with_cache_explained(
     cache: &mut ScheduleCache<'_>,
 ) -> (Result<Solution, SolveError>, SolveExplain) {
     let mut explain = SolveExplain::new(strategy, deadline_s);
-    let result = solve_impl(
-        strategy,
-        deadline_s,
-        cfg,
-        cache,
-        Some(&mut explain),
-        true,
-        None,
-    );
+    let result = solve_impl(strategy, deadline_s, cfg, cache, Some(&mut explain), None);
     if let Err(e) = &result {
         explain.error = Some(e.to_string());
     }
@@ -140,7 +133,7 @@ pub fn solve_with_cache(
     cfg: &SchedulerConfig,
     cache: &mut ScheduleCache<'_>,
 ) -> Result<Solution, SolveError> {
-    solve_impl(strategy, deadline_s, cfg, cache, None, true, None)
+    solve_impl(strategy, deadline_s, cfg, cache, None, None)
 }
 
 /// [`solve_with_cache`] with the level sweep's per-level sleep cutoffs
@@ -157,38 +150,42 @@ pub(crate) fn solve_with_cache_and_sweep(
     sweep: &LevelSweep,
 ) -> Result<Solution, SolveError> {
     debug_assert_eq!(sweep.len(), cfg.levels.points().len());
-    solve_impl(strategy, deadline_s, cfg, cache, None, true, Some(sweep))
+    solve_impl(strategy, deadline_s, cfg, cache, None, Some(sweep))
 }
 
-/// [`solve_with_cache`] with every solver-side pruning rule disabled:
-/// no energy-floor sweep skips, no early scan termination. The search
-/// then walks exactly the candidate set of the original exhaustive
-/// formulation. The differential suite runs this (against a cache with
-/// [`ScheduleCache::set_shortcuts_enabled`] off) as the reference the
-/// pruned path must match bitwise; it is not meant for production use.
-pub fn solve_with_cache_unpruned(
-    strategy: Strategy,
-    deadline_s: f64,
-    cfg: &SchedulerConfig,
-    cache: &mut ScheduleCache<'_>,
-) -> Result<Solution, SolveError> {
-    solve_impl(strategy, deadline_s, cfg, cache, None, false, None)
-}
-
-/// The shared solve body: runs the search, optionally filling a
-/// decision log, and flushes per-solve cache deltas into the global
-/// metrics registry.
-#[allow(clippy::too_many_arguments)]
+/// An unbudgeted solve: the search under an unlimited meter.
 fn solve_impl(
     strategy: Strategy,
     deadline_s: f64,
     cfg: &SchedulerConfig,
     cache: &mut ScheduleCache<'_>,
-    mut explain: Option<&mut SolveExplain>,
-    prune: bool,
+    explain: Option<&mut SolveExplain>,
     sweep: Option<&LevelSweep>,
 ) -> Result<Solution, SolveError> {
     let _span = lamps_obs::span("core", "solve");
+    let mut meter = Meter::unlimited();
+    let result = search(strategy, deadline_s, cfg, cache, explain, sweep, &mut meter);
+    if lamps_obs::metrics_enabled() {
+        lamps_obs::counter("core.solve.calls").inc();
+        if result.is_err() {
+            lamps_obs::counter("core.solve.errors").inc();
+        }
+    }
+    result.map(|b| b.solution)
+}
+
+/// Every solve entry point ends here: runs [`solve_search`], optionally
+/// filling a decision log, and flushes the per-solve cache deltas and
+/// scan counters into the global metrics registry.
+pub(crate) fn search(
+    strategy: Strategy,
+    deadline_s: f64,
+    cfg: &SchedulerConfig,
+    cache: &mut ScheduleCache<'_>,
+    mut explain: Option<&mut SolveExplain>,
+    sweep: Option<&LevelSweep>,
+    meter: &mut Meter<'_>,
+) -> Result<BudgetedSolution, SolveError> {
     let stats_before = cache.stats();
     let mut counters = SolveCounters::default();
     let result = solve_search(
@@ -197,8 +194,8 @@ fn solve_impl(
         cfg,
         cache,
         explain.as_deref_mut(),
-        prune,
         sweep,
+        meter,
         &mut counters,
     );
     let delta = cache.stats().since(&stats_before);
@@ -208,10 +205,6 @@ fn solve_impl(
         ex.scan_breaks = counters.scan_breaks;
     }
     if lamps_obs::metrics_enabled() {
-        lamps_obs::counter("core.solve.calls").inc();
-        if result.is_err() {
-            lamps_obs::counter("core.solve.errors").inc();
-        }
         lamps_obs::counter("core.cache.schedule_hits").add(delta.schedule_hits);
         lamps_obs::counter("core.cache.schedule_misses").add(delta.schedule_misses);
         lamps_obs::counter("core.cache.summary_hits").add(delta.summary_hits);
@@ -225,6 +218,35 @@ fn solve_impl(
     result
 }
 
+/// A probe observer recording `phase` steps into `steps` when the
+/// decision log is on.
+fn probe_log(
+    steps: &mut Vec<SearchStep>,
+    phase: SearchPhase,
+    deadline_cycles: u64,
+    on: bool,
+) -> impl FnMut(usize, u64, bool) + '_ {
+    move |n, m, hit| {
+        if on {
+            steps.push(SearchStep {
+                phase,
+                n_procs: n,
+                makespan_cycles: m,
+                feasible: m <= deadline_cycles,
+                cache_hit: hit,
+            });
+        }
+    }
+}
+
+/// The LAMPS / S&S search (§4.1–§4.3), the only one in the crate.
+///
+/// Phase 1 fixes the counts the scan may visit: LAMPS binary-searches
+/// the minimal feasible count and scans up to `|V|`; S&S takes the
+/// maximal useful count (the minimal feasible one if that misses), a
+/// scan of one. Phase 2 walks them in ascending order under `meter`,
+/// keeping the least-energy candidate; see [`crate::budget`] for the
+/// step accounting and why a skipped sweep is still charged.
 #[allow(clippy::too_many_arguments)]
 fn solve_search(
     strategy: Strategy,
@@ -232,31 +254,23 @@ fn solve_search(
     cfg: &SchedulerConfig,
     cache: &mut ScheduleCache<'_>,
     mut ex: Option<&mut SolveExplain>,
-    prune: bool,
     sweep: Option<&LevelSweep>,
+    meter: &mut Meter<'_>,
     counters: &mut SolveCounters,
-) -> Result<Solution, SolveError> {
+) -> Result<BudgetedSolution, SolveError> {
     let graph = cache.graph();
     if !deadline_s.is_finite() || deadline_s <= 0.0 {
         return Err(SolveError::BadDeadline(deadline_s));
     }
     // Resolve the per-level sleep cutoffs once for the whole search
     // (batch callers pass them in, already resolved once per batch).
-    // The unpruned differential reference deliberately keeps the
-    // original per-call `evaluate_summary` route instead, so every
-    // pruned-vs-unpruned comparison also cross-checks the precomputed-
-    // cutoff kernel against the reference accounting, bit for bit.
     let owned_sweep;
-    let sweep = if prune {
-        Some(match sweep {
-            Some(s) => s,
-            None => {
-                owned_sweep = LevelSweep::new(cfg.levels.points(), &cfg.sleep);
-                &owned_sweep
-            }
-        })
-    } else {
-        None
+    let sweep = match sweep {
+        Some(s) => s,
+        None => {
+            owned_sweep = LevelSweep::new(cfg.levels.points(), &cfg.sleep);
+            &owned_sweep
+        }
     };
     let deadline_cycles = cfg.deadline_cycles(deadline_s);
     // Graph analyses come from the cache, computed once per graph; a
@@ -272,48 +286,100 @@ fn solve_search(
     if let Some(e) = ex.as_deref_mut() {
         e.deadline_cycles = deadline_cycles;
     }
+    // A wall-clock deadline that has already expired at admission: the
+    // scan is skipped and one free best-effort candidate is returned,
+    // tagged Degraded{explored: 0}. Without this, the scan's "within one
+    // step" cancellation latency would still evaluate a candidate, which
+    // an overloaded caller admitting with an expired deadline cannot
+    // afford.
+    let expired = meter.deadline_passed();
 
+    let lamps = strategy.searches_proc_count();
     let ps = strategy.uses_ps();
     let want_explain = ex.is_some();
     // Probe records are buffered locally: the observer closures cannot
     // borrow `ex` directly while `cache` is mutably borrowed. An empty
     // Vec never allocates, so the plain (no-log) path stays free.
     let mut steps: Vec<SearchStep> = Vec::new();
-
-    let best = if strategy.searches_proc_count() {
+    let range = if lamps {
         // LAMPS / LAMPS+PS (§4.2–§4.3, Figs. 5 & 8): binary search for
         // the minimal feasible count, then a linear scan upward while the
         // makespan keeps decreasing, keeping the least-energy
         // configuration. The scan is linear, not binary, because energy
         // over the processor count has local minima (Fig. 6).
-        let n_min_found = cache.min_feasible_procs_with(deadline_cycles, &mut |n, m, hit| {
-            if want_explain {
-                steps.push(SearchStep {
-                    phase: SearchPhase::BinaryProbe,
-                    n_procs: n,
-                    makespan_cycles: m,
-                    feasible: m <= deadline_cycles,
-                    cache_hit: hit,
-                });
-            }
-        });
-        if let Some(e) = ex.as_deref_mut() {
-            e.search.append(&mut steps);
+        let n_hi = graph.len().max(1);
+        let mut probe = probe_log(
+            &mut steps,
+            SearchPhase::BinaryProbe,
+            deadline_cycles,
+            want_explain,
+        );
+        let n_min = cache.min_feasible_procs_with(deadline_cycles, &mut probe);
+        n_min
+            .map(|n_min| (n_min, n_hi))
+            .ok_or_else(|| infeasible(cache.makespan(n_hi)))
+    } else {
+        // S&S / S&S+PS (§4.1, §4.3): employ as many processors as reduce
+        // the makespan; if (anomalously) that schedule misses the
+        // deadline, fall back to the minimal feasible count.
+        let n = cache.max_useful_procs_with(&mut probe_log(
+            &mut steps,
+            SearchPhase::MaxUseful,
+            deadline_cycles,
+            want_explain,
+        ));
+        if cache.makespan(n) > deadline_cycles {
+            let mut probe = probe_log(
+                &mut steps,
+                SearchPhase::Fallback,
+                deadline_cycles,
+                want_explain,
+            );
+            let m = cache.min_feasible_procs_with(deadline_cycles, &mut probe);
+            m.map(|m| (m, m))
+                .ok_or_else(|| infeasible(cache.makespan(n)))
+        } else {
+            Ok((n, n))
         }
-        let n_min = n_min_found.ok_or_else(|| infeasible(cache.makespan(graph.len().max(1))))?;
+    };
+    if let Some(e) = ex.as_deref_mut() {
+        e.search.append(&mut steps);
+    }
+    let (first, last) = range?;
+    let levels_per_n = if ps { cfg.levels.len() as u64 } else { 1 };
+    let total = (last - first + 1) as u64 * levels_per_n;
+
+    let mut best: Option<Candidate> = None;
+    let mut best_index: Option<usize> = None;
+    if expired {
+        // One free candidate: the slowest feasible level at the starting
+        // count (it always fits, as `freq ≥ makespan / D`), billed as the
+        // strategy bills.
+        let one = SolveBudget::steps(1);
+        let summary = cache.summary(first);
+        best = best_level_for(
+            summary,
+            first,
+            deadline_s,
+            ps,
+            sweep,
+            None,
+            &mut Meter::new(&one),
+        );
+        meter.interrupt();
+    } else {
         let work_cycles = cache.total_work_cycles();
         // Constant floor over the whole scan: every makespan is ≥ CPL,
         // so no candidate — present or future — can cost less than the
         // total work billed at the cheapest level that fits the CPL.
         // Once the incumbent drops to this floor the scan can stop
         // without scheduling further counts.
-        let scan_floor = prune
-            .then(|| energy_floor(cfg, work_cycles, cpl_cycles, deadline_s))
-            .flatten();
-        let mut best: Option<Candidate> = None;
-        let mut best_index: Option<usize> = None;
+        let scan_floor = energy_floor(cfg, work_cycles, cpl_cycles, deadline_s);
         let mut prev_makespan: Option<u64> = None;
-        for n in n_min..=graph.len().max(1) {
+        // The natural end of the scan, the floor break and the
+        // critical-path stop are all tested before the meter, so a
+        // budget of exactly the full step count still reports Complete.
+        for n in first..=last {
             if let (Some(b), Some(floor)) = (&best, scan_floor) {
                 if floor * PRUNE_MARGIN >= b.energy.total() {
                     counters.scan_breaks += 1;
@@ -322,7 +388,7 @@ fn solve_search(
             }
             let was_cached = cache.is_cached(n);
             let makespan = cache.makespan(n);
-            if let Some(e) = ex.as_deref_mut() {
+            if let (true, Some(e)) = (lamps, ex.as_deref_mut()) {
                 e.search.push(SearchStep {
                     phase: SearchPhase::LinearScan,
                     n_procs: n,
@@ -331,34 +397,49 @@ fn solve_search(
                     cache_hit: was_cached,
                 });
             }
-            if let Some(prev) = prev_makespan {
-                // "until increasing the number of processors no longer
-                // decreases the makespan" (§4.2).
-                if makespan >= prev {
-                    break;
-                }
+            // The gauntlet's seeded reordering; off outside tests.
+            if cache.meter_before_scan_end() && meter.exhausted() {
+                break;
+            }
+            // "until increasing the number of processors no longer
+            // decreases the makespan" (§4.2).
+            if prev_makespan.is_some_and(|prev| makespan >= prev) {
+                break;
             }
             prev_makespan = Some(makespan);
+            // Once the makespan reaches the CPL no later count can
+            // strictly decrease it, so the §4.2 stopping rule would end
+            // the scan at the next cell anyway — end it after this one
+            // and skip scheduling that cell.
+            let cpl_stop = n < last && makespan == cpl_cycles;
+            if meter.exhausted() {
+                break;
+            }
             // Energy floor at this candidate's own makespan: when even
             // the cheapest conceivably-feasible level cannot beat the
             // incumbent (or no level fits at all), the sweep is skipped.
             // Never prunes while there is no incumbent, so error paths
             // and first-candidate behavior are untouched.
-            let skip_sweep = prune
-                && best.as_ref().is_some_and(|b| {
-                    energy_floor(cfg, work_cycles, makespan, deadline_s)
-                        .is_none_or(|floor| floor * PRUNE_MARGIN >= b.energy.total())
-                });
+            let skip_sweep = best.as_ref().is_some_and(|b| {
+                energy_floor(cfg, work_cycles, makespan, deadline_s)
+                    .is_none_or(|floor| floor * PRUNE_MARGIN >= b.energy.total())
+            });
             if skip_sweep {
                 counters.sweeps_skipped += 1;
+                let required_freq = makespan as f64 / deadline_s;
                 if let Some(e) = ex.as_deref_mut() {
                     let mut d = candidate_detail(n, makespan, was_cached);
-                    d.required_freq_hz = makespan as f64 / deadline_s;
+                    d.required_freq_hz = required_freq;
                     d.pruned = true;
                     e.candidates.push(d);
                 }
-                // The §4.1 cpl-stop below still applies to a pruned cell.
-                if makespan == cpl_cycles {
+                // The skipped sweep still costs its steps: the ones a
+                // sweep would have charged, in the same order.
+                let levels = cfg.levels.at_least(required_freq).count() as u64;
+                if !meter.charge(if ps { levels } else { levels.min(1) }) {
+                    break;
+                }
+                if cpl_stop {
                     counters.scan_breaks += 1;
                     break;
                 }
@@ -370,10 +451,10 @@ fn solve_search(
                 cache.summary(n),
                 n,
                 deadline_s,
-                cfg,
                 ps,
                 sweep,
                 detail.as_mut(),
+                meter,
             );
             if let (Some(e), Some(d)) = (ex.as_deref_mut(), detail) {
                 e.candidates.push(d);
@@ -387,78 +468,41 @@ fn solve_search(
                     best_index = ex.as_deref().map(|e| e.candidates.len() - 1);
                 }
             }
-            // Once the makespan reaches the CPL no later count can
-            // strictly decrease it, so the §4.2 stopping rule would end
-            // the scan at the next cell anyway — end it here and skip
-            // scheduling that cell.
-            if prune && makespan == cpl_cycles {
+            if meter.interrupted() {
+                break;
+            }
+            if cpl_stop {
                 counters.scan_breaks += 1;
                 break;
             }
         }
-        if let Some(e) = ex.as_deref_mut() {
-            e.chosen = best_index;
-        }
-        best.ok_or_else(|| infeasible(cache.makespan(n_min)))?
-    } else {
-        // S&S / S&S+PS (§4.1, §4.3): employ as many processors as reduce
-        // the makespan; if (anomalously) that schedule misses the
-        // deadline, fall back to the minimal feasible count.
-        let mut n = cache.max_useful_procs_with(&mut |n, m, hit| {
-            if want_explain {
-                steps.push(SearchStep {
-                    phase: SearchPhase::MaxUseful,
-                    n_procs: n,
-                    makespan_cycles: m,
-                    feasible: m <= deadline_cycles,
-                    cache_hit: hit,
-                });
-            }
-        });
-        if cache.makespan(n) > deadline_cycles {
-            let fallback = cache.min_feasible_procs_with(deadline_cycles, &mut |n, m, hit| {
-                if want_explain {
-                    steps.push(SearchStep {
-                        phase: SearchPhase::Fallback,
-                        n_procs: n,
-                        makespan_cycles: m,
-                        feasible: m <= deadline_cycles,
-                        cache_hit: hit,
-                    });
-                }
-            });
-            if let Some(e) = ex.as_deref_mut() {
-                e.search.append(&mut steps);
-            }
-            n = fallback.ok_or_else(|| infeasible(cache.makespan(n)))?;
-        } else if let Some(e) = ex.as_deref_mut() {
-            e.search.append(&mut steps);
-        }
-        let was_cached = cache.is_cached(n);
-        let summary = cache.summary(n);
-        let makespan = summary.makespan_cycles();
-        counters.candidates += 1;
-        let mut detail = want_explain.then(|| candidate_detail(n, makespan, was_cached));
-        let cand = best_level_for(summary, n, deadline_s, cfg, ps, sweep, detail.as_mut());
-        if let (Some(e), Some(d)) = (ex, detail) {
-            e.candidates.push(d);
-            if cand.is_some() {
-                e.chosen = Some(0);
-            }
-        }
-        cand.ok_or_else(|| infeasible(cache.makespan(n)))?
-    };
+    }
+    if let Some(e) = ex {
+        e.chosen = best_index;
+    }
 
-    let schedule = cache.schedule_arc(best.n_procs);
-    Ok(Solution {
-        strategy,
-        n_procs: best.n_procs,
-        level: best.level,
-        energy: best.energy,
-        makespan_cycles: best.makespan_cycles,
-        makespan_s: best.makespan_cycles as f64 / best.level.freq,
-        schedule,
-    })
+    let explored = meter.spent();
+    match best {
+        Some(best) => Ok(BudgetedSolution {
+            solution: Solution {
+                strategy,
+                n_procs: best.n_procs,
+                level: best.level,
+                energy: best.energy,
+                makespan_cycles: best.makespan_cycles,
+                makespan_s: best.makespan_cycles as f64 / best.level.freq,
+                schedule: cache.schedule_arc(best.n_procs),
+            },
+            completeness: if meter.interrupted() {
+                Completeness::Degraded { explored, total }
+            } else {
+                Completeness::Complete
+            },
+            steps: explored,
+        }),
+        None if meter.interrupted() => Err(SolveError::BudgetExhausted { explored, total }),
+        None => Err(infeasible(cache.makespan(first))),
+    }
 }
 
 /// Choose the operating level for a fixed schedule, given its idle
@@ -467,19 +511,21 @@ fn solve_search(
 /// Without PS: the slowest feasible level (maximal stretch, §4.1).
 /// With PS: sweep every feasible level from slowest to fastest and keep
 /// the least-energy one (§4.3) — the sweep is what trades slowdown
-/// against shutdown. Billing goes through [`evaluate_summary`], so the
-/// sweep costs O(levels · procs · log gaps) instead of re-walking the
-/// schedule's tasks at every level. `detail`, when given, receives the
-/// decision-log record of the sweep.
+/// against shutdown. Billing goes through the precomputed-cutoff
+/// [`LevelSweep`], so a level costs one structure-of-arrays pass over
+/// the summary instead of re-walking the schedule's tasks. `detail`,
+/// when given, receives the decision-log record of the sweep. Every
+/// level billed is one step on `meter`; when the meter refuses one, the
+/// sweep stops and returns the best of the levels billed so far.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn best_level_for(
+fn best_level_for(
     summary: &IdleSummary,
     n_procs: usize,
     deadline_s: f64,
-    cfg: &SchedulerConfig,
     ps: bool,
-    sweep: Option<&LevelSweep>,
+    sweep: &LevelSweep,
     detail: Option<&mut CandidateExplain>,
+    meter: &mut Meter<'_>,
 ) -> Option<Candidate> {
     let required_freq = summary.makespan_cycles() as f64 / deadline_s;
     best_level_impl(
@@ -487,33 +533,35 @@ pub(crate) fn best_level_for(
         n_procs,
         required_freq,
         deadline_s,
-        cfg,
         ps,
         sweep,
         detail,
+        meter,
     )
 }
 
-/// Level selection with an explicit minimum frequency (used directly by
-/// the per-task-deadline solver in [`crate::multi`], where feasibility
-/// is tighter than the makespan alone).
+/// Unmetered level selection with an explicit minimum frequency (used
+/// directly by the per-task-deadline solver in [`crate::multi`], where
+/// feasibility is tighter than the makespan alone, and by
+/// [`crate::genetic`]).
 pub(crate) fn best_level_constrained(
     summary: &IdleSummary,
     n_procs: usize,
     required_freq: f64,
     horizon_s: f64,
-    cfg: &SchedulerConfig,
     ps: bool,
+    sweep: &LevelSweep,
 ) -> Option<Candidate> {
+    let mut meter = Meter::unlimited();
     best_level_impl(
         summary,
         n_procs,
         required_freq,
         horizon_s,
-        cfg,
         ps,
+        sweep,
         None,
-        None,
+        &mut meter,
     )
 }
 
@@ -530,14 +578,9 @@ fn candidate_detail(n_procs: usize, makespan_cycles: u64, cache_hit: bool) -> Ca
     }
 }
 
-/// Per-gap shutdown verdicts of `summary` at `level`'s break-even
-/// cutoff (the §4.3 rule, re-derived for the decision log).
-fn ps_explain(
-    summary: &IdleSummary,
-    level: &OperatingPoint,
-    sleep: &lamps_power::SleepParams,
-) -> PsExplain {
-    let cutoff = min_sleep_cycles(level, sleep);
+/// Per-gap shutdown verdicts of `summary` at a level's break-even
+/// `cutoff` (the §4.3 rule, re-derived for the decision log).
+fn ps_explain(summary: &IdleSummary, cutoff: u64) -> PsExplain {
     let mut out = PsExplain {
         cutoff_cycles: cutoff,
         sleep_gaps: 0,
@@ -575,80 +618,46 @@ fn best_level_impl(
     n_procs: usize,
     required_freq: f64,
     horizon_s: f64,
-    cfg: &SchedulerConfig,
     ps: bool,
-    sweep: Option<&LevelSweep>,
+    sweep: &LevelSweep,
     mut detail: Option<&mut CandidateExplain>,
+    meter: &mut Meter<'_>,
 ) -> Option<Candidate> {
     let makespan_cycles = summary.makespan_cycles();
-    let deadline_s = horizon_s;
-    let sleep = ps.then_some(&cfg.sleep);
     if let Some(d) = detail.as_deref_mut() {
         d.required_freq_hz = required_freq;
     }
-
-    // Fast path: the per-level sleep cutoffs are already resolved, so
-    // each level costs one structure-of-arrays billing pass instead of
-    // a cutoff search plus billing. Same level order, same feasibility
-    // filter, same strict-`<` winner rule, and the same billing kernel
-    // as `evaluate_summary` — bitwise-identical results. The explain
-    // path stays on the per-call route below (it records per-level
-    // sweeps and per-gap verdicts anyway, so it is never hot).
-    if detail.is_none() {
-        if let Some(sw) = sweep {
-            let mut best: Option<Candidate> = None;
-            for (i, level) in sw.levels().iter().enumerate() {
-                if level.freq < required_freq {
-                    continue;
-                }
-                let Ok(energy) = sw.evaluate(summary, i, deadline_s, ps) else {
-                    continue;
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|b| energy.total() < b.energy.total())
-                {
-                    best = Some(Candidate {
-                        n_procs,
-                        level: *level,
-                        energy,
-                        makespan_cycles,
-                    });
-                }
-                if !ps {
-                    break;
-                }
-            }
-            return best;
-        }
-    }
-
     let mut best: Option<Candidate> = None;
-    for level in cfg.levels.at_least(required_freq) {
-        let evaluated = evaluate_summary(summary, level, deadline_s, sleep);
+    for (i, level) in sweep.levels().iter().enumerate() {
+        if level.freq < required_freq {
+            continue;
+        }
+        if !meter.step() {
+            break;
+        }
+        let evaluated = sweep.evaluate(summary, i, horizon_s, ps);
         if let Some(d) = detail.as_deref_mut() {
             d.levels.push(LevelExplain {
                 freq_hz: level.freq,
                 vdd: level.vdd,
                 energy_j: evaluated.as_ref().ok().map(|e| e.total()),
                 sleep_episodes: evaluated.as_ref().map_or(0, |e| e.sleep_episodes),
-                ps: sleep.map(|sl| ps_explain(summary, level, sl)),
+                ps: ps.then(|| ps_explain(summary, sweep.cutoff(i, true))),
             });
         }
         let Ok(energy) = evaluated else {
             continue;
         };
-        let candidate = Candidate {
-            n_procs,
-            level: *level,
-            energy,
-            makespan_cycles,
-        };
         if best
             .as_ref()
             .is_none_or(|b| energy.total() < b.energy.total())
         {
-            best = Some(candidate);
+            best = Some(Candidate {
+                n_procs,
+                level: *level,
+                energy,
+                makespan_cycles,
+            });
             if let Some(d) = detail.as_deref_mut() {
                 d.best_level = Some(d.levels.len() - 1);
             }
@@ -834,46 +843,6 @@ mod tests {
         for s in Strategy::all() {
             let sol = solve(s, &g, d, &cfg()).unwrap();
             assert_eq!(sol.n_procs, 1);
-        }
-    }
-
-    #[test]
-    fn pruned_and_unpruned_solves_are_bitwise_identical() {
-        // The tentpole soundness claim: energy-floor pruning, the scan
-        // cpl-stop, the width plateau, and the lower-bound probe skip
-        // must never change the solution — not even in the last bit of
-        // the energy.
-        let mut graphs = lamps_taskgraph::gen::layered::stg_group(50, 4, 23)
-            .into_iter()
-            .map(|g| g.scale_weights(310_000))
-            .collect::<Vec<_>>();
-        graphs.push(fig4a_coarse());
-        for (i, g) in graphs.iter().enumerate() {
-            for factor in [1.0, 1.5, 2.0, 4.0, 8.0] {
-                let d = deadline_x(g, factor);
-                for s in Strategy::all() {
-                    let pruned = solve(s, g, d, &cfg());
-                    let mut plain_cache = ScheduleCache::for_graph(g);
-                    plain_cache.set_shortcuts_enabled(false);
-                    let unpruned = solve_with_cache_unpruned(s, d, &cfg(), &mut plain_cache);
-                    match (pruned, unpruned) {
-                        (Ok(a), Ok(b)) => {
-                            assert_eq!(a.n_procs, b.n_procs, "graph {i}, {s}, {factor}x");
-                            assert_eq!(a.level.freq.to_bits(), b.level.freq.to_bits());
-                            assert_eq!(a.makespan_cycles, b.makespan_cycles);
-                            assert_eq!(
-                                a.energy.total().to_bits(),
-                                b.energy.total().to_bits(),
-                                "graph {i}, {s}, {factor}x: pruning changed the energy"
-                            );
-                        }
-                        (Err(a), Err(b)) => {
-                            assert_eq!(format!("{a}"), format!("{b}"));
-                        }
-                        (a, b) => panic!("graph {i}, {s}, {factor}x: {a:?} vs {b:?}"),
-                    }
-                }
-            }
         }
     }
 

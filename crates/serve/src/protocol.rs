@@ -701,6 +701,11 @@ pub struct SolvedResponse {
     pub makespan_s: f64,
     /// Candidate evaluations spent.
     pub steps: u64,
+    /// Steps a degraded search explored (`None` on a complete answer).
+    pub explored: Option<u64>,
+    /// Upper bound on the steps of a complete search (`None` on a
+    /// complete answer).
+    pub total: Option<u64>,
 }
 
 impl Response {
@@ -724,6 +729,10 @@ fn get_u64(root: &Value, key: &str) -> Result<u64, String> {
         Some(x) if (0.0..=MAX_ID).contains(&x) && x.fract() == 0.0 => Ok(x as u64),
         _ => Err(format!("response missing integer field {key}")),
     }
+}
+
+fn get_opt_u64(root: &Value, key: &str) -> Result<Option<u64>, String> {
+    root.get(key).map(|_| get_u64(root, key)).transpose()
 }
 
 fn get_bits(root: &Value, key: &str) -> Result<u64, String> {
@@ -769,6 +778,8 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 .and_then(Value::as_number)
                 .ok_or("solved response has no makespan_s")?,
             steps: get_u64(&root, "steps")?,
+            explored: get_opt_u64(&root, "explored")?,
+            total: get_opt_u64(&root, "total")?,
         })),
         "error" => Ok(Response::Error {
             id,

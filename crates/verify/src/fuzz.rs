@@ -10,6 +10,12 @@
 //!   from-scratch re-bill must agree on the emitted schedule at *every*
 //!   feasible level, with and without shutdown (`evaluate` vs
 //!   `evaluate_summary` bitwise, re-bill to 1e-12);
+//! * the pruning dimension: every solution must match the exhaustive
+//!   [`solve_reference`] bit for bit;
+//! * the budget dimension: under a ladder of step budgets,
+//!   `solve_with_budget` must pick what the reference picks under the
+//!   same budget, never spend more steps, and never get worse with more
+//!   budget ([`budget_differential`]);
 //! * the §4 dominance chain must hold across the four energies;
 //! * on tiny instances the exhaustive oracle proves no strategy beats
 //!   the optimum;
@@ -36,13 +42,14 @@
 
 use crate::case::Case;
 use crate::oracle::{exhaustive_optimum, OracleConfig, OracleError};
+use crate::reference::solve_reference;
 use crate::runtime::check_run;
 use crate::validator::{check_solution, rebill};
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
 use lamps_core::suffix::{resolve_suffix_fresh, SuffixContext, SuffixSolver};
 use lamps_core::{
-    solve, solve_batch, solve_with_cache_unpruned, BatchJob, ScheduleCache, SchedulerConfig,
-    Solution, SolveBudget, SolveError, Strategy,
+    solve, solve_batch, solve_with_budget, BatchJob, BudgetedSolution, Completeness,
+    SchedulerConfig, Solution, SolveBudget, SolveError, Strategy,
 };
 use lamps_energy::{evaluate, evaluate_summary};
 use lamps_kpn::{unroll, Network, UnrollConfig};
@@ -87,6 +94,8 @@ pub struct CaseStats {
     pub solutions: usize,
     /// Whether the exhaustive oracle ran on this case.
     pub oracle_used: bool,
+    /// Budgeted solves compared against the reference.
+    pub budget_checks: u64,
 }
 
 /// A fuzz failure: the original case, its shrunk form, and what went
@@ -110,6 +119,8 @@ pub struct FuzzOutcome {
     pub checked_solutions: u64,
     /// Cases additionally proven against the exhaustive oracle.
     pub oracle_instances: u64,
+    /// Budgeted solves compared against the reference search.
+    pub budget_checks: u64,
     /// The first failure, if any (the run stops at the first).
     pub failure: Option<FuzzFailure>,
 }
@@ -186,6 +197,19 @@ pub fn check_case(
     // Batch dimension: the batch API's recycled caches and precomputed
     // cutoffs must change nothing — not the errors, not the last bit.
     batch_differential(&graph, deadline_s, scfg, &mut violations);
+
+    // Budget dimension: the served (budgeted) entry point against the
+    // reference under the same step budgets.
+    for strategy in Strategy::all() {
+        stats.budget_checks += budget_differential(
+            &graph,
+            deadline_s,
+            scfg,
+            strategy,
+            |budget| solve_with_budget(strategy, &graph, deadline_s, scfg, budget),
+            &mut violations,
+        );
+    }
 
     // §4 dominance chain over the four totals.
     if let [Some(ss), Some(lamps), Some(ss_ps), Some(lamps_ps)] = energies {
@@ -539,12 +563,12 @@ fn suffix_differential(
     }
 }
 
-/// Pruning dimension: re-solve with every solver shortcut disabled —
-/// no width plateau, no lower-bound probe skip, no energy-floor sweep
-/// skips, no early scan termination — and demand the bitwise-identical
-/// solution. This is the differential that keeps the pruned hot path
-/// honest; the gauntlet's mutation checks prove it actually fires on
-/// an unsound bound.
+/// Pruning dimension: re-solve with the exhaustive [`solve_reference`]
+/// — no schedule cache, no width plateau, no lower-bound probe skip, no
+/// energy-floor skips or breaks, no critical-path stop — and demand the
+/// bitwise-identical solution. This is the differential that keeps the
+/// pruned hot path honest; the gauntlet's mutation checks prove it
+/// actually fires on an unsound bound.
 pub fn pruning_differential(
     graph: &TaskGraph,
     sol: &Solution,
@@ -553,17 +577,16 @@ pub fn pruning_differential(
     violations: &mut Vec<String>,
     strategy: &Strategy,
 ) {
-    let mut reference = ScheduleCache::for_graph(graph);
-    reference.set_shortcuts_enabled(false);
-    match solve_with_cache_unpruned(*strategy, deadline_s, scfg, &mut reference) {
-        Ok(r) => {
+    match solve_reference(*strategy, graph, deadline_s, scfg, None) {
+        Ok(b) => {
+            let r = &b.solution;
             if r.n_procs != sol.n_procs
                 || r.makespan_cycles != sol.makespan_cycles
                 || r.level.freq.to_bits() != sol.level.freq.to_bits()
                 || r.energy.total().to_bits() != sol.energy.total().to_bits()
             {
                 violations.push(format!(
-                    "{strategy}: pruned solve diverged from the unpruned reference: n {} vs {}, makespan {} vs {}, {} J vs {} J",
+                    "{strategy}: pruned solve diverged from the exhaustive reference: n {} vs {}, makespan {} vs {}, {} J vs {} J",
                     sol.n_procs,
                     r.n_procs,
                     sol.makespan_cycles,
@@ -574,9 +597,126 @@ pub fn pruning_differential(
             }
         }
         Err(e) => violations.push(format!(
-            "{strategy}: unpruned reference errored ({e}) though the pruned solve succeeded"
+            "{strategy}: exhaustive reference errored ({e}) though the pruned solve succeeded"
         )),
     }
+}
+
+/// The error category of a solve, for comparing error paths.
+fn error_kind(e: &SolveError) -> &'static str {
+    match e {
+        SolveError::Infeasible { .. } => "infeasible",
+        SolveError::BadDeadline(_) => "bad_deadline",
+        SolveError::Power(_) => "power",
+        SolveError::BudgetExhausted { .. } => "budget_exhausted",
+    }
+}
+
+/// Budget dimension: run `solve` (the budgeted production search for
+/// `strategy`) and [`solve_reference`] over the step ladder `{0, 1, 2,
+/// ⌈full/2⌉, full − 1, full, full + 1}`, where `full` is the reference's
+/// unlimited step count, and demand at every rung:
+///
+/// * the same processor count, makespan, level-frequency and energy
+///   bits, or the same error kind;
+/// * no more steps than the reference, and `Complete` whenever the
+///   reference is (the production search may end early on its energy
+///   floor, never late);
+/// * the same `total` when both report one;
+/// * energy non-increasing up the ladder (the anytime property).
+///
+/// Returns the number of budgeted solves compared.
+pub fn budget_differential(
+    graph: &TaskGraph,
+    deadline_s: f64,
+    scfg: &SchedulerConfig,
+    strategy: Strategy,
+    mut solve: impl FnMut(&SolveBudget) -> Result<BudgetedSolution, SolveError>,
+    violations: &mut Vec<String>,
+) -> u64 {
+    let full = solve_reference(strategy, graph, deadline_s, scfg, None).map_or(0, |b| b.steps);
+    let mut ladder = vec![
+        0,
+        1,
+        2,
+        full.div_ceil(2),
+        full.saturating_sub(1),
+        full,
+        full + 1,
+    ];
+    ladder.sort_unstable();
+    ladder.dedup();
+    let mut prev_energy = f64::INFINITY;
+    let mut checks = 0;
+    for steps in ladder {
+        checks += 1;
+        let ours = solve(&SolveBudget::steps(steps));
+        let reference = solve_reference(strategy, graph, deadline_s, scfg, Some(steps));
+        let mut bad = |m: String| {
+            violations.push(format!(
+                "{strategy}: budget {steps} of {full}: budgeted solve {m}"
+            ))
+        };
+        let total = |c: &Completeness| match *c {
+            Completeness::Degraded { total, .. } => Some(total),
+            Completeness::Complete => None,
+        };
+        match (&ours, &reference) {
+            (Ok(a), Ok(b)) => {
+                let (x, y) = (&a.solution, &b.solution);
+                if x.n_procs != y.n_procs
+                    || x.makespan_cycles != y.makespan_cycles
+                    || x.level.freq.to_bits() != y.level.freq.to_bits()
+                    || x.energy.total().to_bits() != y.energy.total().to_bits()
+                {
+                    bad(format!(
+                        "diverged from the reference: n {} vs {}, makespan {} vs {}, {} J vs {} J",
+                        x.n_procs,
+                        y.n_procs,
+                        x.makespan_cycles,
+                        y.makespan_cycles,
+                        x.energy.total(),
+                        y.energy.total()
+                    ));
+                }
+                if a.steps > b.steps {
+                    bad(format!(
+                        "spent {} steps, the reference {}",
+                        a.steps, b.steps
+                    ));
+                }
+                if b.completeness.is_complete() && !a.completeness.is_complete() {
+                    bad(format!(
+                        "is {:?} where the reference completed",
+                        a.completeness
+                    ));
+                }
+                if let (Some(t), Some(u)) = (total(&a.completeness), total(&b.completeness)) {
+                    if t != u {
+                        bad(format!("reports total {t}, the reference {u}"));
+                    }
+                }
+                let e = x.energy.total();
+                if e > prev_energy {
+                    bad(format!(
+                        "got worse with more budget: {e} J > {prev_energy} J"
+                    ));
+                }
+                prev_energy = e;
+            }
+            (Err(a), Err(b)) => {
+                if error_kind(a) != error_kind(b) {
+                    bad(format!("errored with {a}, the reference with {b}"));
+                }
+            }
+            (a, b) => bad(format!(
+                "disagrees on solvability: {:?} vs reference {:?}",
+                a.as_ref().map(|s| s.solution.energy.total()),
+                b.as_ref().map(|s| s.solution.energy.total())
+            )),
+        }
+    }
+    checks
 }
 
 /// Batch dimension: push the case through [`solve_batch`] (one job,
@@ -1075,6 +1215,7 @@ pub fn run(fz: &FuzzConfig, scfg: &SchedulerConfig) -> FuzzOutcome {
             Ok(stats) => {
                 out.checked_solutions += stats.solutions as u64;
                 out.oracle_instances += stats.oracle_used as u64;
+                out.budget_checks += stats.budget_checks;
             }
             Err(original_violations) => {
                 let shrunk = shrink(&case, scfg, fz);
@@ -1119,6 +1260,7 @@ mod tests {
         assert_eq!(out.iterations_run, 60);
         assert!(out.checked_solutions > 100, "{}", out.checked_solutions);
         assert!(out.oracle_instances > 0, "oracle never engaged");
+        assert!(out.budget_checks > 0, "budget dimension never ran");
     }
 
     #[test]

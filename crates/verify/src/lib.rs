@@ -11,6 +11,9 @@
 //! * [`oracle`] — exhaustively enumerates (topological order × processor
 //!   count × level) on tiny instances to *prove* the heuristics never
 //!   beat the optimum, rather than merely asserting they look sane.
+//! * [`reference`] — the exhaustive LAMPS/S&S search, cache-free and
+//!   shortcut-free, with the anytime step accounting: the executable
+//!   spec the production search is differentiated against.
 //! * [`fuzz`] + [`case`] + [`corpus`] — a deterministic differential
 //!   fuzzer over random DAGs and KPN unrollings, a self-contained text
 //!   format for failing cases, greedy shrinking, and a regression corpus
@@ -34,6 +37,7 @@ pub mod flight;
 pub mod fuzz;
 pub mod obs;
 pub mod oracle;
+pub mod reference;
 pub mod runtime;
 pub mod serve;
 pub mod validator;
@@ -44,10 +48,12 @@ pub use flight::{
     check_flight_counts, check_flight_dump, parse_flight_dump, DumpEvent, FlightDump,
 };
 pub use fuzz::{
-    check_case, pruning_differential, run, CaseStats, FuzzConfig, FuzzFailure, FuzzOutcome,
+    budget_differential, check_case, pruning_differential, run, CaseStats, FuzzConfig, FuzzFailure,
+    FuzzOutcome,
 };
 pub use obs::{check_chrome_trace, check_explain};
 pub use oracle::{exhaustive_optimum, OracleConfig, OracleError, OracleResult};
+pub use reference::solve_reference;
 pub use runtime::{check_online, check_run, RunViolation};
 pub use serve::{check_exchange, check_response_line, ServeViolation};
 pub use validator::{check_schedule, check_solution, rebill, RebilledEnergy, Violation};

@@ -114,7 +114,8 @@ impl std::fmt::Display for ServeViolation {
 /// request: parseability, and for solved responses the invariants the
 /// solver guarantees (at least one processor, positive makespan, a
 /// known strategy name, the hex bit patterns agreeing exactly with the
-/// printed floats, step counts consistent with the degraded flag).
+/// printed floats, `explored`/`total` present exactly on degraded
+/// answers, with `explored == steps ≤ total`).
 pub fn check_response_line(line: &str) -> Vec<ServeViolation> {
     let mut v = Vec::new();
     let resp = match parse_response(line.trim()) {
@@ -159,8 +160,11 @@ pub fn check_response_line(line: &str) -> Vec<ServeViolation> {
         if s.n_procs == 0 {
             bad("n_procs is 0".into());
         }
-        if s.steps == 0 {
-            bad("a solved response cannot have spent 0 steps".into());
+        // Only a request whose wall-clock budget expired at admission
+        // is answered without a charged step, and that answer is
+        // degraded.
+        if s.steps == 0 && !s.degraded {
+            bad("a complete response cannot have spent 0 steps".into());
         }
         if !(s.makespan_s.is_finite() && s.makespan_s > 0.0) {
             bad(format!("makespan_s {} is not positive", s.makespan_s));
@@ -186,6 +190,22 @@ pub fn check_response_line(line: &str) -> Vec<ServeViolation> {
         if !["ss", "lamps", "ss_ps", "lamps_ps"].contains(&s.strategy.as_str()) {
             bad(format!("unknown strategy name {:?}", s.strategy));
         }
+        // The budget accounting: `explored`/`total` travel exactly with a
+        // degraded answer, `explored` is the steps spent, and no search
+        // explores more than its bound.
+        match (s.degraded, s.explored, s.total) {
+            (true, Some(explored), Some(total)) => {
+                if explored != s.steps {
+                    bad(format!("explored {explored} but steps {}", s.steps));
+                }
+                if explored > total {
+                    bad(format!("explored {explored} exceeds total {total}"));
+                }
+            }
+            (true, ..) => bad("degraded response lacks explored/total".into()),
+            (false, None, None) => {}
+            (false, ..) => bad("complete response carries explored/total".into()),
+        }
     }
     v
 }
@@ -194,7 +214,8 @@ pub fn check_response_line(line: &str) -> Vec<ServeViolation> {
 /// (through [`solve_with_budget`], the entry point the server uses) and
 /// demand the served answer matches **bit for bit** — same energy and
 /// frequency bit patterns, processor count, makespan, step count, and
-/// completeness; or, for error responses, the same error category.
+/// completeness with its `explored`/`total`; or, for error responses,
+/// the same error category.
 ///
 /// Only meaningful when the server ran without a wall-clock request
 /// timeout (step budgets are reproducible, time budgets are not).
@@ -288,11 +309,14 @@ pub fn check_exchange(
                     s.steps, b.steps
                 )));
             }
-            let local_degraded = matches!(b.completeness, Completeness::Degraded { .. });
-            if s.degraded != local_degraded {
+            let local = match b.completeness {
+                Completeness::Degraded { explored, total } => (Some(explored), Some(total)),
+                Completeness::Complete => (None, None),
+            };
+            if s.degraded != local.0.is_some() || (s.explored, s.total) != local {
                 v.push(ServeViolation::Mismatch(format!(
-                    "served degraded={}, local degraded={local_degraded}",
-                    s.degraded
+                    "served degraded={} explored {:?} total {:?}, local {:?}",
+                    s.degraded, s.explored, s.total, b.completeness
                 )));
             }
         }
@@ -457,6 +481,73 @@ mod tests {
         assert!(check_response_line(line)
             .iter()
             .any(|v| matches!(v, ServeViolation::BadSnapshot(m) if m.contains("back in time"))));
+    }
+
+    #[test]
+    fn tampered_budget_accounting_is_caught() {
+        let cfg = SchedulerConfig::paper();
+        let g = chain();
+        let req =
+            encode_solve_request(5, Strategy::LampsPs, DeadlineSpec::Factor(3.0), &g, Some(2));
+        let deadline_s = 3.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
+        let b = solve_with_budget(
+            Strategy::LampsPs,
+            &g,
+            deadline_s,
+            &cfg,
+            &SolveBudget::steps(2),
+        )
+        .unwrap();
+        let Completeness::Degraded { total, .. } = b.completeness else {
+            panic!("a 2-step budget degrades this search: {:?}", b.completeness);
+        };
+        let resp = encode_solved(5, Strategy::LampsPs, &b);
+        assert_eq!(
+            check_exchange(&req, &resp, &cfg, &Limits::default()),
+            Vec::new()
+        );
+        // A reply claiming a different bound passes the structural rules
+        // (explored ≤ total still holds) but not the replay.
+        let tampered = resp.replace(
+            &format!("\"total\":{total}"),
+            &format!("\"total\":{}", total + 1),
+        );
+        assert_ne!(tampered, resp);
+        assert_eq!(check_response_line(&tampered), Vec::new());
+        assert!(check_exchange(&req, &tampered, &cfg, &Limits::default())
+            .iter()
+            .any(|v| matches!(v, ServeViolation::Mismatch(m) if m.contains("total"))));
+        // A bound below the explored steps is structurally impossible.
+        let below = resp.replace(&format!("\"total\":{total}"), "\"total\":1");
+        assert!(check_response_line(&below)
+            .iter()
+            .any(|v| matches!(v, ServeViolation::BadSolved(m) if m.contains("exceeds"))));
+        // A degraded reply without its accounting is malformed.
+        let stripped = resp.replace(&format!(",\"explored\":2,\"total\":{total}"), "");
+        assert_ne!(stripped, resp);
+        assert!(check_response_line(&stripped)
+            .iter()
+            .any(|v| matches!(v, ServeViolation::BadSolved(m) if m.contains("lacks"))));
+    }
+
+    #[test]
+    fn expired_admission_reply_is_well_formed() {
+        let cfg = SchedulerConfig::paper();
+        let g = chain();
+        let deadline_s = 2.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
+        let budget = SolveBudget::unlimited().with_deadline(std::time::Instant::now());
+        let b = solve_with_budget(Strategy::LampsPs, &g, deadline_s, &cfg, &budget).unwrap();
+        assert_eq!(b.steps, 0);
+        let resp = encode_solved(3, Strategy::LampsPs, &b);
+        assert_eq!(check_response_line(&resp), Vec::new());
+        // The same zero-step answer claimed complete is malformed.
+        let complete = resp
+            .replace("\"degraded\"", "\"ok\"")
+            .replace(",\"explored\":0,\"total\":28", "");
+        assert_ne!(complete, resp);
+        assert!(check_response_line(&complete)
+            .iter()
+            .any(|v| matches!(v, ServeViolation::BadSolved(m) if m.contains("0 steps"))));
     }
 
     #[test]

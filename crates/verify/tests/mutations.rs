@@ -1,4 +1,4 @@
-//! Mutation check: seven hand-seeded scheduler/evaluator bugs, each in
+//! Mutation check: eight hand-seeded scheduler/evaluator bugs, each in
 //! a test-only buggy copy of the production logic or behind a test-only
 //! hook, must be caught by the independent validator or a differential.
 //! If any of these pass silently the verification subsystem is not
@@ -193,8 +193,8 @@ fn mutation_illegal_level_index_is_caught() {
 /// Seeded bug 6: an off-by-one in the makespan lower bound LB(m) — it
 /// divides the total work by m − 1, so the pruned binary search skips a
 /// probe that was actually feasible and settles on too many processors.
-/// The pruning differential (pruned solve vs. shortcut-free reference)
-/// must flag the divergence.
+/// The pruning differential (pruned solve vs. the exhaustive reference
+/// search) must flag the divergence.
 #[test]
 fn mutation_off_by_one_lower_bound_is_caught() {
     use lamps_core::{solve_with_cache, ScheduleCache};
@@ -241,6 +241,78 @@ fn mutation_off_by_one_lower_bound_is_caught() {
     assert_eq!(honest.n_procs, 2, "the sound bound keeps the true minimum");
     let mut clean = Vec::new();
     pruning_differential(&g, &honest, d, &cfg, &mut clean, &Strategy::Lamps);
+    assert!(clean.is_empty(), "control case was flagged: {clean:?}");
+}
+
+/// Seeded bug 8: the step meter consulted before the natural end of the
+/// LAMPS scan. A budget of exactly the full step count then reports
+/// `Degraded` although the search had nothing left to do — the served
+/// answer mislabels a complete search. The budget differential (budgeted
+/// solve vs. the exhaustive reference under the same step ladder) must
+/// flag it.
+#[test]
+fn mutation_meter_before_scan_end_is_caught() {
+    use lamps_core::{
+        solve_with_budget, solve_with_budget_cache, Completeness, ScheduleCache, SolveBudget,
+    };
+    use lamps_verify::{budget_differential, solve_reference};
+
+    let cfg = cfg();
+    // Four independent 1 ms tasks at 8× the critical path: the binary
+    // search settles on one processor, the scan visits 1 (4 ms) and 2
+    // (2 ms) processors and ends naturally at 3, whose makespan (2 ms)
+    // no longer decreases — above the critical path, so no
+    // critical-path stop ends it first.
+    let mut b = GraphBuilder::new();
+    for _ in 0..4 {
+        b.add_task(3_100_000);
+    }
+    let g = b.build().unwrap();
+    let d = 8.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
+    let s = Strategy::LampsPs;
+    let full = solve_reference(s, &g, d, &cfg, None).unwrap();
+    assert!(full.completeness.is_complete());
+    let budget = SolveBudget::steps(full.steps);
+
+    let mutated_solve = |budget: &SolveBudget| {
+        let mut cache = ScheduleCache::for_graph(&g);
+        cache.mutate_meter_before_scan_end_for_tests();
+        solve_with_budget_cache(s, d, &cfg, &mut cache, budget)
+    };
+    let mutated = mutated_solve(&budget).unwrap();
+    assert!(
+        matches!(mutated.completeness, Completeness::Degraded { explored, .. } if explored == full.steps),
+        "the reordered meter should mislabel the exact budget: {:?}",
+        mutated.completeness
+    );
+
+    let mut violations = Vec::new();
+    budget_differential(&g, d, &cfg, s, mutated_solve, &mut violations);
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.contains("where the reference completed")),
+        "meter before scan end validated cleanly: {violations:?}"
+    );
+
+    // Control: the unmutated budgeted solve completes on the exact
+    // budget and passes the same differential.
+    let honest = solve_with_budget(s, &g, d, &cfg, &budget).unwrap();
+    assert!(
+        honest.completeness.is_complete(),
+        "{:?}",
+        honest.completeness
+    );
+    let mut clean = Vec::new();
+    let checks = budget_differential(
+        &g,
+        d,
+        &cfg,
+        s,
+        |b| solve_with_budget(s, &g, d, &cfg, b),
+        &mut clean,
+    );
+    assert!(checks > 0);
     assert!(clean.is_empty(), "control case was flagged: {clean:?}");
 }
 
