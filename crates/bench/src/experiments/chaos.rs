@@ -19,6 +19,7 @@ use lamps_core::{solve, SchedulerConfig, Solution, Strategy};
 use lamps_sim::{run_with_faults, DvsSwitchCost, FaultIntensity, FaultPlan, RecoveryPolicy};
 use lamps_taskgraph::gen::layered::stg_group;
 use lamps_taskgraph::TaskGraph;
+use lamps_verify::check_run;
 use std::fmt::Write as _;
 
 /// One cell of the chaos sweep.
@@ -36,6 +37,8 @@ pub struct ChaosCell {
     pub mean_recoveries: f64,
     /// Runs aggregated into this cell.
     pub runs: usize,
+    /// [`check_run`] violations across the cell's traces (must be 0).
+    pub violations: usize,
 }
 
 /// The intensity presets swept, in escalating order. `none` is the
@@ -68,33 +71,14 @@ pub fn chaos_sweep(n_graphs: usize, seed: u64) -> Vec<ChaosCell> {
     let solved: Vec<_> = solved.into_iter().flatten().collect();
     assert!(!solved.is_empty(), "no graph solved at 1.6 x CPL");
 
-    // Fault-free baseline energy per graph (policy-independent: with an
-    // empty plan both policies reduce to the plain runner).
-    let baselines: Vec<f64> = solved
-        .iter()
-        .map(|(g, sol, d)| {
-            let report = run_with_faults(
-                g,
-                sol,
-                g.weights(),
-                &FaultPlan::none(),
-                *d,
-                RecoveryPolicy::Absorb,
-                &cfg,
-                &switch,
-            )
-            .expect("fault-free run cannot fail");
-            assert!(report.outcome.met(), "fault-free run missed its deadline");
-            report.energy.total()
-        })
-        .collect();
-
-    let mut cells = Vec::new();
+    // Every report goes through the independent validator. The first
+    // cell (`none`, Absorb) runs each plan fault-free: its energies are
+    // the baselines.
+    let mut runs = Vec::new();
     for (name, intensity) in presets() {
         for policy in [RecoveryPolicy::Absorb, RecoveryPolicy::Boost] {
-            let mut misses = 0usize;
-            let mut rel_sum = 0.0;
-            let mut rec_sum = 0usize;
+            let mut violations = 0usize;
+            let mut outcomes = Vec::with_capacity(solved.len());
             for (i, (g, sol, d)) in solved.iter().enumerate() {
                 let plan = match &intensity {
                     None => FaultPlan::none(),
@@ -104,30 +88,53 @@ pub fn chaos_sweep(n_graphs: usize, seed: u64) -> Vec<ChaosCell> {
                 };
                 let report = run_with_faults(g, sol, g.weights(), &plan, *d, policy, &cfg, &switch)
                     .expect("faulty run must always produce a report");
-                if !report.outcome.met() {
-                    misses += 1;
-                }
-                rel_sum += report.energy.total() / baselines[i];
-                rec_sum += report.recoveries.len();
+                violations +=
+                    check_run(g, sol, g.weights(), &plan, &report, *d, &cfg, &switch).len();
+                outcomes.push((
+                    report.energy.total(),
+                    report.outcome.met(),
+                    report.recoveries.len(),
+                ));
             }
-            let n = solved.len() as f64;
-            cells.push(ChaosCell {
-                intensity: name.to_string(),
-                policy,
-                miss_rate: misses as f64 / n,
-                energy_rel: rel_sum / n,
-                mean_recoveries: rec_sum as f64 / n,
-                runs: solved.len(),
-            });
+            runs.push((name, policy, outcomes, violations));
         }
     }
-    cells
+    let baselines: Vec<f64> = runs[0]
+        .2
+        .iter()
+        .map(|&(e, met, _)| {
+            assert!(met, "fault-free run missed its deadline");
+            e
+        })
+        .collect();
+
+    let n = solved.len() as f64;
+    runs.into_iter()
+        .map(|(name, policy, outcomes, violations)| ChaosCell {
+            intensity: name.to_string(),
+            policy,
+            miss_rate: outcomes.iter().filter(|o| !o.1).count() as f64 / n,
+            energy_rel: outcomes
+                .iter()
+                .zip(&baselines)
+                .map(|(o, b)| o.0 / b)
+                .sum::<f64>()
+                / n,
+            mean_recoveries: outcomes.iter().map(|o| o.2).sum::<usize>() as f64 / n,
+            runs: solved.len(),
+            violations,
+        })
+        .collect()
 }
 
 /// Regenerate the robustness exhibit.
 pub fn chaos(n_graphs: usize, seed: u64) -> ExperimentOutput {
-    let cells = chaos_sweep(n_graphs, seed);
+    chaos_report(&chaos_sweep(n_graphs, seed))
+}
 
+/// Render a sweep: the report table (closing with the validator's
+/// violation count) and `chaos.csv`.
+pub fn chaos_report(cells: &[ChaosCell]) -> ExperimentOutput {
     let mut csv = Csv::new(&[
         "intensity",
         "policy",
@@ -148,7 +155,7 @@ pub fn chaos(n_graphs: usize, seed: u64) -> ExperimentOutput {
         "intensity", "policy", "miss rate", "energy", "recoveries"
     )
     .unwrap();
-    for c in &cells {
+    for c in cells {
         let policy = match c.policy {
             RecoveryPolicy::Absorb => "absorb",
             RecoveryPolicy::Boost => "boost",
@@ -175,6 +182,12 @@ pub fn chaos(n_graphs: usize, seed: u64) -> ExperimentOutput {
     writeln!(
         report,
         "(energy relative to the fault-free run of the same static plan; faults are seeded\n task overruns, processor fail-stops and DVS regulator faults; `boost` may spend\n extra energy raising frequency to defend the deadline where `absorb` rides slack)"
+    )
+    .unwrap();
+    writeln!(
+        report,
+        "validator violations {}",
+        cells.iter().map(|c| c.violations).sum::<usize>()
     )
     .unwrap();
 
@@ -226,33 +239,9 @@ mod tests {
 
     #[test]
     fn faulty_traces_stay_validator_clean() {
-        // Re-run one moderate-intensity configuration and push every
-        // trace through the independent verify-side validator.
-        let cfg = SchedulerConfig::paper();
-        let switch = DvsSwitchCost::typical();
-        let graphs: Vec<TaskGraph> = stg_group(100, 2, 37)
-            .into_iter()
-            .map(|g| g.scale_weights(Granularity::Coarse.cycles_per_unit()))
-            .collect();
-        for (i, g) in graphs.iter().enumerate() {
-            let d = 1.6 * g.critical_path_cycles() as f64 / cfg.max_frequency();
-            let Ok(sol) = solve(Strategy::LampsPs, g, d, &cfg) else {
-                continue;
-            };
-            let plan = FaultPlan::random(
-                g,
-                sol.schedule.n_procs(),
-                d,
-                &FaultIntensity::moderate(),
-                37 ^ (i as u64) << 4,
-            );
-            for policy in [RecoveryPolicy::Absorb, RecoveryPolicy::Boost] {
-                let report =
-                    run_with_faults(g, &sol, g.weights(), &plan, d, policy, &cfg, &switch).unwrap();
-                let violations =
-                    lamps_verify::check_run(g, &sol, g.weights(), &plan, &report, d, &cfg, &switch);
-                assert!(violations.is_empty(), "{policy:?}: {violations:?}");
-            }
+        // The sweep validates every trace it runs.
+        for c in chaos_sweep(2, 37) {
+            assert_eq!(c.violations, 0, "{c:?}");
         }
     }
 }

@@ -26,7 +26,7 @@
 use super::ExperimentOutput;
 use crate::csv::Csv;
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
-use lamps_core::suffix::{resolve_suffix_fresh, SuffixContext};
+use lamps_core::suffix::{SuffixContext, SuffixSolver};
 use lamps_core::{SchedulerConfig, Solution, Strategy};
 use lamps_kpn::{PeriodicDag, PeriodicSet};
 use lamps_sim::{
@@ -189,7 +189,9 @@ fn full_frame_solve_steps(w: &Workload, cfg: &SchedulerConfig) -> u64 {
         own_due_s: Some(&due_s),
     };
     let candidates: Vec<_> = cfg.levels.points().to_vec();
-    resolve_suffix_fresh(&w.dag.graph, &ctx, &candidates, None).map_or(0, |sp| sp.steps)
+    SuffixSolver::new()
+        .resolve(&w.dag.graph, &ctx, &candidates, None)
+        .map_or(0, |sp| sp.steps)
 }
 
 /// Run one stream under `catch_unwind`, validate the trace, and fold

@@ -61,7 +61,7 @@ pub use budget::{
 pub use cache::{CacheBuffers, CacheStats, ScheduleCache};
 pub use config::SchedulerConfig;
 pub use explain::SolveExplain;
-pub use suffix::{resolve_suffix_fresh, SuffixContext, SuffixPlan, SuffixSolver};
+pub use suffix::{SuffixContext, SuffixPlan, SuffixSolver};
 
 pub use solve::{solve, solve_explained, solve_with_cache, solve_with_cache_explained};
 pub use types::{Solution, SolveError, Strategy};

@@ -13,13 +13,14 @@
 //! traversal once instead of per re-solve.
 //!
 //! Correctness contract: the memoized path is **bitwise identical** to
-//! [`resolve_suffix_fresh`], the from-scratch reference that recomputes
-//! everything per call — a cache entry is only reused when the level
-//! bits, horizon bits, and the full per-task deadline bit-pattern match
-//! exactly. The differential fuzzer in `lamps-verify` holds the two
-//! paths equal on every generated case.
+//! `lamps_verify::reference::resolve_suffix_fresh`, an independent
+//! from-scratch spec that recomputes everything per call — a cache
+//! entry is only reused when the level bits, horizon bits, and the full
+//! per-task deadline bit-pattern match exactly. The differential fuzzer
+//! in `lamps-verify` holds the two paths equal on every generated case.
 //!
-//! Level-sweep semantics (shared with `lamps-sim`'s fail-stop replan):
+//! Level-sweep semantics (every `lamps-sim` re-plan, reclaim and
+//! fail-stop, runs through here):
 //! candidates are tried in the caller's order (ascending frequency by
 //! convention), each one re-list-scheduled in its own cycle domain; the
 //! first *feasible* candidate wins, otherwise the last one evaluated
@@ -237,51 +238,6 @@ impl SuffixSolver {
     }
 }
 
-/// From-scratch reference for [`SuffixSolver::resolve`]: identical
-/// semantics, no memo, fresh allocations per call. The differential
-/// fuzzer asserts the two are bitwise equal; production code should use
-/// the solver.
-pub fn resolve_suffix_fresh(
-    graph: &TaskGraph,
-    ctx: &SuffixContext<'_>,
-    candidates: &[OperatingPoint],
-    max_candidates: Option<u64>,
-) -> Option<SuffixPlan> {
-    check_context(graph, ctx);
-    pending_work(graph, ctx)?;
-    let cap = max_candidates.unwrap_or(u64::MAX);
-    let mut best: Option<(OperatingPoint, PartialSchedule, bool)> = None;
-    let mut steps = 0u64;
-    let mut complete = true;
-    for lvl in candidates {
-        if steps >= cap {
-            complete = false;
-            break;
-        }
-        steps += 1;
-        let f = lvl.freq;
-        let (mut done, mut finish_done, mut avail) = (Vec::new(), Vec::new(), Vec::new());
-        fill_arenas(graph, ctx, f, &mut done, &mut finish_done, &mut avail);
-        let mut own_scaled = Vec::new();
-        let mut keys = Vec::new();
-        compute_keys(graph, ctx, f, &mut own_scaled, &mut keys);
-        let ps = reschedule_remaining(graph, &done, &finish_done, &avail, &keys);
-        let feasible = plan_feasible(graph, ctx, &done, &ps, f);
-        best = Some((*lvl, ps, feasible));
-        if feasible {
-            break;
-        }
-    }
-    let (level, plan, feasible) = best?;
-    Some(SuffixPlan {
-        level,
-        plan,
-        feasible,
-        steps,
-        complete,
-    })
-}
-
 fn check_context(graph: &TaskGraph, ctx: &SuffixContext<'_>) {
     let n = graph.len();
     assert_eq!(ctx.finished.len(), n, "one finished flag per task");
@@ -412,7 +368,6 @@ mod tests {
     use super::*;
     use crate::config::SchedulerConfig;
     use lamps_taskgraph::gen::layered::{generate, LayeredConfig};
-    use lamps_taskgraph::rng::Rng;
     use lamps_taskgraph::GraphBuilder;
 
     fn cfg() -> SchedulerConfig {
@@ -429,83 +384,6 @@ mod tests {
             seed,
         )
         .scale_weights(3_100_000)
-    }
-
-    /// A predecessor-closed random "finished" prefix: mark a prefix of
-    /// the topological order done with synthetic finish times.
-    fn random_prefix(graph: &TaskGraph, frac: f64, seed: u64) -> (Vec<bool>, Vec<f64>) {
-        let topo = graph.topo_order();
-        let k = ((topo.len() as f64) * frac) as usize;
-        let mut finished = vec![false; graph.len()];
-        let mut finish_s = vec![0.0f64; graph.len()];
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut t_acc = 0.0;
-        for t in topo.into_iter().take(k) {
-            finished[t.index()] = true;
-            t_acc += rng.gen_range(1e-4f64..3e-3);
-            finish_s[t.index()] = t_acc;
-        }
-        (finished, finish_s)
-    }
-
-    fn assert_plans_bitwise_equal(a: &SuffixPlan, b: &SuffixPlan, what: &str) {
-        assert_eq!(
-            a.level.vdd.to_bits(),
-            b.level.vdd.to_bits(),
-            "{what}: level"
-        );
-        assert_eq!(a.feasible, b.feasible, "{what}: feasible");
-        assert_eq!(a.steps, b.steps, "{what}: steps");
-        assert_eq!(a.plan, b.plan, "{what}: plan");
-    }
-
-    #[test]
-    fn memoized_matches_fresh_bitwise_across_random_suffixes() {
-        let cfg = cfg();
-        let candidates: Vec<OperatingPoint> = cfg.levels.points().to_vec();
-        for seed in 0..12u64 {
-            let g = layered(seed + 1);
-            let (finished, finish_s) = random_prefix(&g, 0.3 + 0.05 * (seed % 5) as f64, seed);
-            let n_procs = 3;
-            let dead = vec![false, seed % 4 == 0, false];
-            let running = vec![None; n_procs];
-            let horizon = 2.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
-            let own: Vec<f64> = g
-                .tasks()
-                .map(|t| {
-                    if t.index() % 3 == 0 {
-                        horizon * 0.9
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect();
-            for own_case in [None, Some(own.as_slice())] {
-                let ctx = SuffixContext {
-                    finished: &finished,
-                    finish_s: &finish_s,
-                    running: &running,
-                    dead: &dead,
-                    now_s: 0.01,
-                    deadline_s: horizon,
-                    own_due_s: own_case,
-                };
-                let mut solver = SuffixSolver::new();
-                // Twice through the memo: the second call must hit.
-                let first = solver.resolve(&g, &ctx, &candidates, None);
-                let second = solver.resolve(&g, &ctx, &candidates, None);
-                let fresh = resolve_suffix_fresh(&g, &ctx, &candidates, None);
-                match (first, second, fresh) {
-                    (Some(a), Some(b), Some(c)) => {
-                        assert_plans_bitwise_equal(&a, &c, "memo-miss vs fresh");
-                        assert_plans_bitwise_equal(&b, &c, "memo-hit vs fresh");
-                        assert!(solver.key_cache_hits() > 0, "second pass must hit the memo");
-                    }
-                    (None, None, None) => {}
-                    other => panic!("solver/fresh disagree on emptiness: {other:?}"),
-                }
-            }
-        }
     }
 
     #[test]
@@ -615,8 +493,6 @@ mod tests {
         assert_eq!(capped.steps, 1);
         assert!(!capped.complete);
         assert!(!capped.feasible);
-        let fresh = resolve_suffix_fresh(&g, &ctx, &candidates, Some(1)).unwrap();
-        assert_plans_bitwise_equal(&capped, &fresh, "capped");
     }
 
     #[test]
@@ -640,7 +516,6 @@ mod tests {
         assert!(SuffixSolver::new()
             .resolve(&g, &ctx, &candidates, None)
             .is_none());
-        assert!(resolve_suffix_fresh(&g, &ctx, &candidates, None).is_none());
 
         let none_done = vec![false; g.len()];
         let all_dead = vec![true; 2];
@@ -652,7 +527,6 @@ mod tests {
         assert!(SuffixSolver::new()
             .resolve(&g, &ctx, &candidates, None)
             .is_none());
-        assert!(resolve_suffix_fresh(&g, &ctx, &candidates, None).is_none());
     }
 
     #[test]

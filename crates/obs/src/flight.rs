@@ -86,23 +86,30 @@ pub const SERVE_QUEUE_DEPTH: &str = "serve.queue.depth";
 pub const SERVE_PANIC: &str = "serve.panic";
 /// Online frame admitted; `key` = frame index, `a` = backlog.
 pub const ONLINE_ADMIT: &str = "online.admit";
-/// Online frame deferred; `key` = frame index, `a` = delay in µs.
+/// Online frame deferred; `key` = frame index, `a` = backlog,
+/// `b` = delay in µs.
 pub const ONLINE_DEFER: &str = "online.defer";
 /// Online frame shed; `key` = frame index, `a` = backlog.
 pub const ONLINE_SHED: &str = "online.shed";
-/// Slack reclamation lowered a frame's level; `key` = frame index,
-/// `a` = chosen level.
+/// Slack-reclamation suffix re-solve ran; `key` = frame index,
+/// `a` = candidate levels evaluated, `b` = 1 if the re-plan was
+/// feasible (and adopted).
 pub const ONLINE_RECLAIM: &str = "online.reclaim";
-/// Incremental suffix re-solve ran for a frame; `key` = frame index.
+/// Fail-stop suffix re-plan ran; `key` = frame index, `a` = candidate
+/// levels evaluated, `b` = 1.
 pub const ONLINE_RESOLVE: &str = "online.resolve";
-/// Fault-ladder transition; `key` = frame index, `a` = rung
-/// (0 absorbed / 1 boosted / 2 replanned), `b` = faults injected.
+/// One recovery action; `key` = frame index (0 for a single-frame
+/// run), `a` = rung (0 rescheduled / 1 base level raised / 2 task
+/// boosted), `b` = the failed processor (rungs 0, 1) or the boosted
+/// task (rung 2).
 pub const ONLINE_FAULT: &str = "online.fault";
-/// A frame missed its deadline; `key` = frame index, `a` = lateness µs.
+/// A frame missed its deadline; `key` = frame index, `a` = late (or
+/// never-finished) jobs.
 pub const ONLINE_MISS: &str = "online.miss";
 /// A solve budget expired; `a` = explored, `b` = total candidates.
 pub const CORE_BUDGET_EXPIRED: &str = "core.budget.expired";
-/// Suffix re-solve completed; `a` = steps, `b` = 1 if key-cache hit.
+/// Suffix re-solve completed; `key` = the solver's resolve ordinal,
+/// `a` = steps, `b` = 1 if the chosen level is feasible.
 pub const CORE_SUFFIX_RESOLVE: &str = "core.suffix.resolve";
 
 /// One recorded event. Fixed-size and `Copy`; payload words `a`/`b`

@@ -24,6 +24,7 @@
 //! beats the §3.4 break-even, up to the deadline horizon.
 
 pub mod error;
+mod executor;
 pub mod faults;
 pub mod online;
 pub mod recovery;

@@ -3,7 +3,8 @@
 //! [`run_online`] executes a [`lamps_kpn::PeriodicDag`] frame stream the
 //! way a deployed scheduler would: the hyperperiod frame is solved
 //! *once* offline ([`lamps_core::multi::solve_with_deadlines`]) and then
-//! replayed for every arriving frame, while the runtime
+//! replayed for every arriving frame through the shared frame executor
+//! ([`crate::executor`]), while the runtime
 //!
 //! * **admits** each frame against the current backlog — on time
 //!   ([`AdmissionVerdict::Admitted`]), late but queued
@@ -21,9 +22,9 @@
 //!   once exhausted the frame falls back to window-stretch dispatch only
 //!   and is flagged `degraded` — never stalled, never panicked;
 //! * **survives faults**: each frame carries its own [`FaultPlan`]
-//!   (times relative to the frame start) and runs the PR 3 escalation
-//!   ladder — absorb, boost, fail-stop migration via suffix re-solve,
-//!   structured [`RunOutcome::DeadlineMiss`]. Fail-stop re-plans bypass
+//!   (times relative to the frame start) and runs the fault ladder of
+//!   [`crate::run_with_faults`] — absorb, boost, fail-stop migration via
+//!   suffix re-solve, structured [`RunOutcome::DeadlineMiss`]. Fail-stop re-plans bypass
 //!   budget exhaustion (migrating off a dead processor is correctness,
 //!   not optimization) but still count toward the step metrics. A dead
 //!   processor recovers at the next frame boundary.
@@ -52,26 +53,18 @@
 //! dead-processor silence, arrival-anchored verdicts, energy re-bill).
 
 use crate::error::SimError;
-use crate::faults::{DvsFaultKind, FaultIntensity, FaultPlan, InjectedEvent};
-use crate::recovery::{
-    sort_lateness, ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome, TaskLateness,
-};
-use crate::runner::{account_idle, DvsSwitchCost};
+use crate::executor::{bill_idle, execute, Frame};
+use crate::faults::{FaultIntensity, FaultPlan, InjectedEvent};
+use crate::recovery::{ExecRecord, RecoveryAction, RecoveryPolicy, RunOutcome};
+use crate::runner::DvsSwitchCost;
 use crate::workload::actual_cycles;
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
-use lamps_core::suffix::{SuffixContext, SuffixSolver};
+use lamps_core::suffix::SuffixSolver;
 use lamps_core::{SchedulerConfig, SolveBudget, Strategy};
 use lamps_energy::EnergyBreakdown;
 use lamps_kpn::PeriodicDag;
 use lamps_obs::flight;
-use lamps_power::OperatingPoint;
-use lamps_sched::{ProcId, Schedule};
-use lamps_taskgraph::{TaskGraph, TaskId};
 use std::collections::VecDeque;
-use std::time::Instant;
-
-/// Relative tolerance on deadline comparisons, matching the solver's.
-const REL_EPS: f64 = 1e-9;
 
 /// How the online runtime behaves.
 #[derive(Debug, Clone)]
@@ -82,7 +75,7 @@ pub struct OnlineConfig {
     pub policy: RecoveryPolicy,
     /// Reclaim dynamic slack: stretch dispatches below the plan level
     /// into their windows and re-solve the pending suffix on early
-    /// completions. `false` reproduces the PR 3 fault-ladder semantics
+    /// completions. `false` reproduces [`crate::run_with_faults`]'s ladder
     /// exactly (levels never drop below the base).
     pub reclaim: bool,
     /// Frames allowed to wait behind the one in execution before new
@@ -447,17 +440,25 @@ pub fn run_online(
             continue;
         };
 
-        let run = run_frame(
-            i,
+        // Arrival-anchored: offset ≤ 0 is the arrival relative to the
+        // start (negative for a deferred frame).
+        let offset = fr.arrival_s - start_s;
+        let due_s: Vec<f64> = due_rel.iter().map(|d| offset + d).collect();
+        let run = execute(
             graph,
-            &sol.schedule,
-            sol.level,
-            n_procs,
-            fr,
-            fr.arrival_s - start_s,
-            span_s,
-            &due_rel,
-            ocfg,
+            &Frame {
+                index: i,
+                schedule: &sol.schedule,
+                plan_level: sol.level,
+                actual: &fr.actual,
+                faults: &fr.faults,
+                horizon_s: offset + span_s,
+                due_s: Some(&due_s),
+                policy: ocfg.policy,
+                reclaim: ocfg.reclaim,
+                budget: &ocfg.frame_budget,
+                switch: &ocfg.switch,
+            },
             cfg,
             &mut solver,
         );
@@ -499,8 +500,9 @@ pub fn run_online(
         };
         frames[fi].window_end_s = end;
         let mut idle = EnergyBreakdown::default();
-        bill_frame_idle(
-            &frames[fi],
+        bill_idle(
+            &frames[fi].tasks,
+            &frames[fi].aborted,
             &stream.frames[fi].faults,
             start,
             end,
@@ -589,596 +591,6 @@ fn add_energy(into: &mut EnergyBreakdown, from: &EnergyBreakdown) {
     into.sleep_j += from.sleep_j;
     into.transition_j += from.transition_j;
     into.sleep_episodes += from.sleep_episodes;
-}
-
-/// Bill the gaps of one executed frame's window `[start, end)`:
-/// per employed processor at the plan level, a dead processor only to
-/// its fail time.
-#[allow(clippy::too_many_arguments)]
-fn bill_frame_idle(
-    frame: &FrameRecord,
-    faults: &FaultPlan,
-    start: f64,
-    end: f64,
-    n_procs: usize,
-    plan_level: OperatingPoint,
-    cfg: &SchedulerConfig,
-    energy: &mut EnergyBreakdown,
-) {
-    for pi in 0..n_procs {
-        let pid = ProcId(pi as u32);
-        let mut intervals: Vec<(f64, f64)> = frame
-            .tasks
-            .iter()
-            .flatten()
-            .chain(frame.aborted.iter())
-            .filter(|r| r.proc == pid)
-            .map(|r| (start + r.start_s, start + r.finish_s))
-            .collect();
-        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let p_end = match faults.fail_stop {
-            Some(fs) if fs.proc == pid => (start + fs.at_s).min(end),
-            _ => end,
-        };
-        let mut cursor = start;
-        for (s, f) in intervals {
-            account_idle(s - cursor, plan_level, cfg, energy);
-            cursor = cursor.max(f);
-        }
-        account_idle(p_end - cursor, plan_level, cfg, energy);
-    }
-}
-
-struct InFlight {
-    task: TaskId,
-    exec_start_s: f64,
-    finish_s: f64,
-    expected_finish_s: f64,
-    level: OperatingPoint,
-    cycles: u64,
-}
-
-struct ProcState {
-    queue: VecDeque<TaskId>,
-    running: Option<InFlight>,
-    current: OperatingPoint,
-    dead: bool,
-    stuck: bool,
-    extra_latency_s: f64,
-}
-
-struct FrameRun {
-    records: Vec<Option<ExecRecord>>,
-    aborted: Vec<ExecRecord>,
-    injected: Vec<InjectedEvent>,
-    recoveries: Vec<RecoveryAction>,
-    energy: EnergyBreakdown,
-    makespan_s: f64,
-    outcome: RunOutcome,
-    resolves: u64,
-    resolve_steps: u64,
-    stretched: usize,
-    degraded: bool,
-    dvs_switches: usize,
-}
-
-/// Execute one frame, all times relative to the frame start.
-/// `arrival_offset_s ≤ 0` is the arrival relative to the start (negative
-/// for a deferred frame), anchoring the per-job due times; `span_s` is
-/// one hyperperiod, so the scalar horizon is `arrival_offset + span`.
-#[allow(clippy::too_many_arguments)]
-fn run_frame(
-    frame: usize,
-    graph: &TaskGraph,
-    schedule: &Schedule,
-    plan_level: OperatingPoint,
-    n_procs: usize,
-    fr: &FrameInput,
-    arrival_offset_s: f64,
-    span_s: f64,
-    due_rel: &[f64],
-    ocfg: &OnlineConfig,
-    cfg: &SchedulerConfig,
-    solver: &mut SuffixSolver,
-) -> FrameRun {
-    let n = graph.len();
-    let horizon_s = arrival_offset_s + span_s;
-    let due_s: Vec<f64> = due_rel.iter().map(|d| arrival_offset_s + d).collect();
-    let eff = fr.faults.effective_cycles(graph, &fr.actual);
-    let mut overrun_factor: Vec<Option<f64>> = vec![None; n];
-    for o in &fr.faults.overruns {
-        overrun_factor[o.task.index()] = Some(o.factor);
-    }
-
-    let mut procs: Vec<ProcState> = (0..n_procs)
-        .map(|p| {
-            let pid = ProcId(p as u32);
-            let fault = fr.faults.dvs.iter().find(|d| d.proc == pid);
-            ProcState {
-                queue: schedule.tasks_on(pid).iter().copied().collect(),
-                running: None,
-                current: plan_level,
-                dead: false,
-                stuck: matches!(fault.map(|d| d.kind), Some(DvsFaultKind::StuckAtLevel)),
-                extra_latency_s: match fault.map(|d| d.kind) {
-                    Some(DvsFaultKind::ExtraLatency { extra_s }) => extra_s,
-                    _ => 0.0,
-                },
-            }
-        })
-        .collect();
-
-    // The reclamation floor: the slowest level stretching may reach.
-    // The discrete critical level bounds it from below (§3.3 — slower
-    // than critical costs *more* energy per cycle); a plan already at
-    // or below critical is never undercut.
-    let reclaim_floor = if cfg.levels.critical().freq < plan_level.freq {
-        *cfg.levels.critical()
-    } else {
-        plan_level
-    };
-
-    let mut finished = vec![false; n];
-    let mut finish_s = vec![0.0f64; n];
-    let mut records: Vec<Option<ExecRecord>> = vec![None; n];
-    let mut aborted: Vec<ExecRecord> = Vec::new();
-    let mut injected: Vec<InjectedEvent> = Vec::new();
-    let mut recoveries: Vec<RecoveryAction> = Vec::new();
-    let mut energy = EnergyBreakdown::default();
-    let mut dvs_switches = 0usize;
-    let mut base_level = plan_level;
-    let mut target_finish_s: Vec<f64> = graph
-        .tasks()
-        .map(|t| schedule.finish(t) as f64 / plan_level.freq)
-        .collect();
-
-    // Reclaim budget for this frame.
-    let mut steps_left = ocfg.frame_budget.max_steps;
-    let mut resolves = 0u64;
-    let mut resolve_steps = 0u64;
-    let mut stretched = 0usize;
-    let mut degraded = false;
-    let budget_open = |steps_left: &Option<u64>, degraded: &mut bool| -> bool {
-        if steps_left.is_some_and(|s| s == 0) {
-            *degraded = true;
-            return false;
-        }
-        if ocfg
-            .frame_budget
-            .token
-            .as_ref()
-            .is_some_and(|t| t.is_cancelled())
-            || ocfg
-                .frame_budget
-                .deadline
-                .is_some_and(|d| Instant::now() >= d)
-        {
-            *degraded = true;
-            return false;
-        }
-        true
-    };
-
-    let mut fail_pending = fr.faults.fail_stop;
-    let mut now = 0.0f64;
-    let mut n_finished = 0usize;
-
-    loop {
-        // Retire due completions; an early one may trigger reclamation.
-        let mut reclaim_due = false;
-        for (pi, ps) in procs.iter_mut().enumerate() {
-            let due = matches!(&ps.running, Some(rf) if rf.finish_s <= now);
-            if due {
-                let rf = ps.running.take().expect("checked running");
-                finished[rf.task.index()] = true;
-                finish_s[rf.task.index()] = rf.finish_s;
-                n_finished += 1;
-                energy.active_j += rf.cycles as f64 * rf.level.energy_per_cycle;
-                records[rf.task.index()] = Some(ExecRecord {
-                    task: rf.task,
-                    proc: ProcId(pi as u32),
-                    start_s: rf.exec_start_s,
-                    finish_s: rf.finish_s,
-                    vdd: rf.level.vdd,
-                    cycles: rf.cycles,
-                });
-                if rf.finish_s < rf.expected_finish_s * (1.0 - REL_EPS) {
-                    reclaim_due = true;
-                }
-            }
-        }
-
-        // Rung: early completion + reclamation → incremental suffix
-        // re-solve over all levels, adopted only when feasible (the
-        // dispatch rung already defends windows otherwise).
-        if reclaim_due && ocfg.reclaim && n_finished < n && budget_open(&steps_left, &mut degraded)
-        {
-            let running_est: Vec<Option<(TaskId, f64)>> = procs
-                .iter()
-                .map(|p| {
-                    p.running
-                        .as_ref()
-                        .map(|rf| (rf.task, rf.expected_finish_s.max(now)))
-                })
-                .collect();
-            let dead: Vec<bool> = procs.iter().map(|p| p.dead).collect();
-            // Never stretch below the discrete critical level (§3.3):
-            // below it energy per cycle *rises*, so racing and idling
-            // beats stretching. The ascending sweep therefore starts at
-            // the reclamation floor.
-            let candidates: Vec<OperatingPoint> =
-                cfg.levels.at_least(reclaim_floor.freq).copied().collect();
-            let ctx = SuffixContext {
-                finished: &finished,
-                finish_s: &finish_s,
-                running: &running_est,
-                dead: &dead,
-                now_s: now,
-                deadline_s: horizon_s,
-                own_due_s: Some(&due_s),
-            };
-            if let Some(sp) = solver.resolve(graph, &ctx, &candidates, steps_left) {
-                resolves += 1;
-                resolve_steps += sp.steps;
-                flight::record(
-                    flight::ONLINE_RECLAIM,
-                    frame as u64,
-                    sp.steps,
-                    u64::from(sp.feasible),
-                );
-                if let Some(left) = steps_left.as_mut() {
-                    *left = left.saturating_sub(sp.steps);
-                }
-                if !sp.complete {
-                    degraded = true;
-                }
-                if sp.feasible {
-                    adopt_plan(
-                        graph,
-                        &sp.plan,
-                        sp.level,
-                        &finished,
-                        &running_est,
-                        &mut procs,
-                        &mut target_finish_s,
-                    );
-                    base_level = sp.level;
-                }
-            }
-        }
-
-        // Fire the fail-stop once its time has come. The re-plan is a
-        // correctness rung: it runs even with the budget exhausted.
-        if let Some(fs) = fail_pending {
-            if fs.at_s <= now {
-                fail_pending = None;
-                injected.push(InjectedEvent::ProcFailed {
-                    proc: fs.proc,
-                    at_s: fs.at_s,
-                });
-                let fp = fs.proc.index();
-                procs[fp].dead = true;
-                if let Some(rf) = procs[fp].running.take() {
-                    let ran_s = (fs.at_s - rf.exec_start_s).max(0.0);
-                    let cycles_done = ((ran_s * rf.level.freq).floor() as u64).min(rf.cycles);
-                    energy.active_j += cycles_done as f64 * rf.level.energy_per_cycle;
-                    aborted.push(ExecRecord {
-                        task: rf.task,
-                        proc: fs.proc,
-                        start_s: rf.exec_start_s,
-                        finish_s: fs.at_s,
-                        vdd: rf.level.vdd,
-                        cycles: cycles_done,
-                    });
-                }
-
-                let running_est: Vec<Option<(TaskId, f64)>> = procs
-                    .iter()
-                    .map(|p| {
-                        p.running
-                            .as_ref()
-                            .map(|rf| (rf.task, rf.expected_finish_s.max(now)))
-                    })
-                    .collect();
-                let dead: Vec<bool> = procs.iter().map(|p| p.dead).collect();
-                let candidates: Vec<OperatingPoint> = match ocfg.policy {
-                    RecoveryPolicy::Absorb => vec![base_level],
-                    RecoveryPolicy::Boost => {
-                        cfg.levels.at_least(base_level.freq).copied().collect()
-                    }
-                };
-                let ctx = SuffixContext {
-                    finished: &finished,
-                    finish_s: &finish_s,
-                    running: &running_est,
-                    dead: &dead,
-                    now_s: now,
-                    deadline_s: horizon_s,
-                    own_due_s: Some(&due_s),
-                };
-                if let Some(sp) = solver.resolve(graph, &ctx, &candidates, None) {
-                    resolves += 1;
-                    resolve_steps += sp.steps;
-                    flight::record(flight::ONLINE_RESOLVE, frame as u64, sp.steps, 1);
-                    let migrated =
-                        migrated_vs_static(graph, &sp.plan, schedule, &finished, &running_est);
-                    adopt_plan(
-                        graph,
-                        &sp.plan,
-                        sp.level,
-                        &finished,
-                        &running_est,
-                        &mut procs,
-                        &mut target_finish_s,
-                    );
-                    recoveries.push(RecoveryAction::Rescheduled {
-                        failed_proc: fs.proc,
-                        at_s: fs.at_s,
-                        migrated,
-                    });
-                    if (sp.level.vdd - base_level.vdd).abs() > 1e-12 {
-                        recoveries.push(RecoveryAction::BaseLevelRaised {
-                            from_vdd: base_level.vdd,
-                            to_vdd: sp.level.vdd,
-                        });
-                        base_level = sp.level;
-                    }
-                } else {
-                    procs[fp].queue.clear();
-                }
-            }
-        }
-
-        // Dispatch ready queue heads; zero-weight jobs retire instantly.
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (pi, ps) in procs.iter_mut().enumerate() {
-                if ps.dead || ps.running.is_some() {
-                    continue;
-                }
-                let Some(&t) = ps.queue.front() else {
-                    continue;
-                };
-                if graph.predecessors(t).iter().any(|&q| !finished[q.index()]) {
-                    continue;
-                }
-                ps.queue.pop_front();
-                progress = true;
-                let w = graph.weight(t);
-                if w == 0 {
-                    finished[t.index()] = true;
-                    finish_s[t.index()] = now;
-                    n_finished += 1;
-                    records[t.index()] = Some(ExecRecord {
-                        task: t,
-                        proc: ProcId(pi as u32),
-                        start_s: now,
-                        finish_s: now,
-                        vdd: ps.current.vdd,
-                        cycles: 0,
-                    });
-                    continue;
-                }
-
-                // The stretch/boost rung: fit the window to the planned
-                // finish. Reclamation may drop below the base level;
-                // Boost may rise above it; Absorb without reclamation
-                // never leaves it.
-                let level = if ocfg.policy == RecoveryPolicy::Absorb && !ocfg.reclaim {
-                    base_level
-                } else {
-                    let window = target_finish_s[t.index()] - now;
-                    let pick = |window: f64| -> OperatingPoint {
-                        if window <= 0.0 {
-                            return if ocfg.policy == RecoveryPolicy::Boost {
-                                *cfg.levels.fastest()
-                            } else {
-                                base_level
-                            };
-                        }
-                        let required = w as f64 / window * (1.0 - REL_EPS);
-                        let c = cfg
-                            .levels
-                            .lowest_at_least(required)
-                            .copied()
-                            .unwrap_or_else(|| *cfg.levels.fastest());
-                        let floor = if ocfg.reclaim {
-                            if reclaim_floor.freq < base_level.freq {
-                                reclaim_floor
-                            } else {
-                                base_level
-                            }
-                        } else {
-                            base_level
-                        };
-                        let c = if c.freq < floor.freq { floor } else { c };
-                        if ocfg.policy != RecoveryPolicy::Boost && c.freq > base_level.freq {
-                            base_level
-                        } else {
-                            c
-                        }
-                    };
-                    let wants = pick(window);
-                    if (wants.vdd - ps.current.vdd).abs() > 1e-12 {
-                        let shrunk = pick(window - ocfg.switch.latency_s - ps.extra_latency_s);
-                        if shrunk.freq > wants.freq {
-                            shrunk
-                        } else {
-                            wants
-                        }
-                    } else {
-                        wants
-                    }
-                };
-                let level = if (level.vdd - ps.current.vdd).abs() > 1e-12 && ps.stuck {
-                    injected.push(InjectedEvent::DvsStuck {
-                        proc: ProcId(pi as u32),
-                        requested_vdd: level.vdd,
-                    });
-                    ps.current
-                } else {
-                    level
-                };
-                if level.freq > base_level.freq + 1e-6 {
-                    recoveries.push(RecoveryAction::TaskBoosted {
-                        task: t,
-                        from_vdd: base_level.vdd,
-                        to_vdd: level.vdd,
-                    });
-                }
-                if level.freq < plan_level.freq - 1e-6 {
-                    stretched += 1;
-                }
-
-                let mut exec_start = now;
-                if (level.vdd - ps.current.vdd).abs() > 1e-12 {
-                    dvs_switches += 1;
-                    energy.transition_j += ocfg.switch.energy_j;
-                    let mut lat = ocfg.switch.latency_s;
-                    if ps.extra_latency_s > 0.0 {
-                        lat += ps.extra_latency_s;
-                        injected.push(InjectedEvent::DvsDelayed {
-                            proc: ProcId(pi as u32),
-                            extra_s: ps.extra_latency_s,
-                        });
-                    }
-                    exec_start += lat;
-                    ps.current = level;
-                }
-                let cycles = eff[t.index()];
-                if cycles > w {
-                    injected.push(InjectedEvent::Overrun {
-                        task: t,
-                        factor: overrun_factor[t.index()].unwrap_or(1.0),
-                        cycles,
-                    });
-                }
-                ps.running = Some(InFlight {
-                    task: t,
-                    exec_start_s: exec_start,
-                    finish_s: exec_start + cycles as f64 / level.freq,
-                    expected_finish_s: exec_start + w as f64 / level.freq,
-                    level,
-                    cycles,
-                });
-            }
-        }
-
-        if n_finished == n {
-            break;
-        }
-
-        let mut next = f64::INFINITY;
-        for p in &procs {
-            if let Some(rf) = &p.running {
-                next = next.min(rf.finish_s);
-            }
-        }
-        if let Some(fs) = fail_pending {
-            if next.is_finite() {
-                next = next.min(fs.at_s.max(now));
-            }
-        }
-        if !next.is_finite() {
-            break;
-        }
-        now = next;
-    }
-
-    let makespan_s = records
-        .iter()
-        .flatten()
-        .map(|r| r.finish_s)
-        .fold(0.0f64, f64::max);
-
-    // Arrival-anchored verdict.
-    let mut lateness = Vec::new();
-    for t in graph.tasks() {
-        let due = due_s[t.index()];
-        let tol = due + due.abs() * REL_EPS;
-        match &records[t.index()] {
-            Some(r) if r.finish_s > tol => lateness.push(TaskLateness {
-                task: t,
-                lateness_s: r.finish_s - due,
-            }),
-            None => lateness.push(TaskLateness {
-                task: t,
-                lateness_s: f64::INFINITY,
-            }),
-            _ => {}
-        }
-    }
-    let outcome = if lateness.is_empty() {
-        RunOutcome::MetDeadline
-    } else {
-        sort_lateness(&mut lateness);
-        // A structured miss is post-mortem material: journal it, then
-        // (if a dump path is configured) flush the flight buffer so the
-        // evidence survives even if the process dies right after.
-        flight::record(flight::ONLINE_MISS, frame as u64, lateness.len() as u64, 0);
-        flight::last_gasp("deadline-miss");
-        RunOutcome::DeadlineMiss { lateness }
-    };
-
-    FrameRun {
-        records,
-        aborted,
-        injected,
-        recoveries,
-        energy,
-        makespan_s,
-        outcome,
-        resolves,
-        resolve_steps,
-        stretched,
-        degraded,
-        dvs_switches,
-    }
-}
-
-/// Install a suffix re-plan: replace every surviving queue and the
-/// window ends of pending jobs.
-fn adopt_plan(
-    graph: &TaskGraph,
-    plan: &lamps_sched::PartialSchedule,
-    level: OperatingPoint,
-    finished: &[bool],
-    running_est: &[Option<(TaskId, f64)>],
-    procs: &mut [ProcState],
-    target_finish_s: &mut [f64],
-) {
-    for (p, ps) in procs.iter_mut().enumerate() {
-        ps.queue.clear();
-        for &t in plan.tasks_on(ProcId(p as u32)) {
-            ps.queue.push_back(t);
-        }
-    }
-    for t in graph.tasks() {
-        let in_flight = running_est.iter().flatten().any(|&(rt, _)| rt == t);
-        if !finished[t.index()] && !in_flight {
-            target_finish_s[t.index()] = plan.finish(t) as f64 / level.freq;
-        }
-    }
-}
-
-/// Pending jobs whose re-planned processor differs from the static
-/// plan's (the fail-stop migration metric).
-fn migrated_vs_static(
-    graph: &TaskGraph,
-    plan: &lamps_sched::PartialSchedule,
-    schedule: &Schedule,
-    finished: &[bool],
-    running_est: &[Option<(TaskId, f64)>],
-) -> usize {
-    let mut migrated = 0usize;
-    for t in graph.tasks() {
-        let in_flight = running_est.iter().flatten().any(|&(rt, _)| rt == t);
-        if !finished[t.index()] && !in_flight && plan.proc(t) != schedule.proc(t) {
-            migrated += 1;
-        }
-    }
-    migrated
 }
 
 #[cfg(test)]
@@ -1474,7 +886,7 @@ mod tests {
         ));
         let mut bad_fault = good.clone();
         bad_fault.frames[0].faults.fail_stop = Some(crate::faults::FailStop {
-            proc: ProcId(99),
+            proc: lamps_sched::ProcId(99),
             at_s: 0.001,
         });
         assert!(matches!(

@@ -9,44 +9,32 @@
 //! *inputs* are rejected up front with a typed [`SimError`]; once the
 //! run starts, no fault combination panics.
 //!
-//! The recovery escalation ladder, bottom rung first:
+//! The run is one frame of the shared executor ([`crate::executor`]) at
+//! t = 0 with reclamation off, every task due at the deadline: slack
+//! absorbs overruns, [`RecoveryPolicy::Boost`] raises a task whose
+//! window to its planned finish has shrunk (to the fastest level once
+//! the window is gone), and a processor fail-stop migrates the pending
+//! remainder onto the survivors through a suffix re-solve — under
+//! `Boost` at the lowest base level (at or above the plan's) whose
+//! re-planned makespan still meets the deadline. When physics wins
+//! anyway, the report carries per-task lateness.
 //!
-//! 1. **Slack absorption** (both policies): starts float — an overrun
-//!    delays successors, and downstream slack soaks it up if it can.
-//! 2. **Frequency boost** ([`RecoveryPolicy::Boost`] only): a task
-//!    whose window to its planned finish has shrunk runs at the lowest
-//!    level that still fits the window (never below its base level);
-//!    with the window destroyed it runs at the fastest level.
-//! 3. **Structured miss**: when physics wins anyway, the report carries
-//!    per-task lateness instead of a panic or a silent flag.
-//!
-//! On a processor fail-stop (either policy), the victim's work — its
-//! running task re-runs from scratch; fail-stop loses state — migrates:
-//! the pending remainder of the graph is re-list-scheduled on the
-//! survivors via [`lamps_sched::reschedule_remaining`]. Under
-//! [`RecoveryPolicy::Boost`] the re-plan also picks a new *base* level:
-//! the lowest level (at or above the plan's) whose re-planned makespan
-//! still meets the deadline, or the fastest when none does. The re-plan
-//! sees only what a runtime could see — WCET-based finish estimates for
-//! in-flight tasks, never a not-yet-observed overrun.
-//!
-//! Billing conventions match [`crate::runner::simulate_with_costs`]:
-//! executed cycles at the level they ran at, idle gaps at the *plan*
-//! level's idle power (slept through past break-even), switch energy
-//! into the transition bucket. A dead processor is billed only up to
-//! its fail time; survivors are billed to `max(deadline, makespan)`.
+//! Billing: executed cycles at the level they ran at, idle gaps at the
+//! *plan* level's idle power (slept through past break-even), switch
+//! energy into the transition bucket. A dead processor is billed only up
+//! to its fail time; survivors are billed to `max(deadline, makespan)`.
+//! This differs from [`crate::runner::simulate_with_costs`], which bills
+//! the tail only to the deadline.
 
 use crate::error::SimError;
-use crate::faults::{DvsFaultKind, FaultPlan, InjectedEvent};
-use crate::runner::{account_idle, DvsSwitchCost};
-use lamps_core::suffix::{resolve_suffix_fresh, SuffixContext};
-use lamps_core::{SchedulerConfig, Solution};
+use crate::executor::{bill_idle, execute, Frame};
+use crate::faults::{FaultPlan, InjectedEvent};
+use crate::runner::DvsSwitchCost;
+use lamps_core::suffix::SuffixSolver;
+use lamps_core::{SchedulerConfig, Solution, SolveBudget};
 use lamps_energy::EnergyBreakdown;
-use lamps_obs::flight;
-use lamps_power::OperatingPoint;
-use lamps_sched::{ProcId, Schedule};
+use lamps_sched::ProcId;
 use lamps_taskgraph::{TaskGraph, TaskId};
-use std::collections::VecDeque;
 
 /// How the runtime reacts to faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,26 +166,6 @@ impl FaultyRunReport {
     }
 }
 
-struct InFlight {
-    task: TaskId,
-    exec_start_s: f64,
-    finish_s: f64,
-    /// The runtime's WCET-based finish estimate (it cannot see an
-    /// overrun in advance) — what re-planning believes.
-    expected_finish_s: f64,
-    level: OperatingPoint,
-    cycles: u64,
-}
-
-struct ProcState {
-    queue: VecDeque<TaskId>,
-    running: Option<InFlight>,
-    current: OperatingPoint,
-    dead: bool,
-    stuck: bool,
-    extra_latency_s: f64,
-}
-
 /// Execute `solution` under `faults`, recovering per `policy`. See the
 /// module docs for the fault model and the escalation ladder.
 ///
@@ -217,7 +185,6 @@ pub fn run_with_faults(
 ) -> Result<FaultyRunReport, SimError> {
     let _span = lamps_obs::span("sim", "run_with_faults");
     let n = graph.len();
-    let n_procs = solution.schedule.n_procs();
     if actual.len() != n {
         return Err(SimError::WrongActualLength {
             expected: n,
@@ -242,363 +209,49 @@ pub fn run_with_faults(
             });
         }
     }
+    let n_procs = solution.schedule.n_procs();
     faults.validate(graph, n_procs)?;
 
-    let eff = faults.effective_cycles(graph, actual);
-    let plan_level = solution.level;
-    let mut overrun_factor: Vec<Option<f64>> = vec![None; n];
-    for o in &faults.overruns {
-        overrun_factor[o.task.index()] = Some(o.factor);
-    }
-
-    let mut procs: Vec<ProcState> = (0..n_procs)
-        .map(|p| {
-            let pid = ProcId(p as u32);
-            let fault = faults.dvs.iter().find(|d| d.proc == pid);
-            ProcState {
-                queue: solution.schedule.tasks_on(pid).iter().copied().collect(),
-                running: None,
-                current: plan_level,
-                dead: false,
-                stuck: matches!(fault.map(|d| d.kind), Some(DvsFaultKind::StuckAtLevel)),
-                extra_latency_s: match fault.map(|d| d.kind) {
-                    Some(DvsFaultKind::ExtraLatency { extra_s }) => extra_s,
-                    _ => 0.0,
-                },
-            }
-        })
-        .collect();
-
-    let mut finished = vec![false; n];
-    let mut records: Vec<Option<ExecRecord>> = vec![None; n];
-    let mut aborted: Vec<ExecRecord> = Vec::new();
-    let mut injected: Vec<InjectedEvent> = Vec::new();
-    let mut recoveries: Vec<RecoveryAction> = Vec::new();
-    let mut energy = EnergyBreakdown::default();
-    let mut dvs_switches = 0usize;
-    let mut base_level = plan_level;
-    // Per-task window end for the boost rung: the statically planned
-    // finish, replaced by the re-planned finish after a fail-stop.
-    let mut target_finish_s: Vec<f64> = graph
-        .tasks()
-        .map(|t| solution.schedule.finish(t) as f64 / plan_level.freq)
-        .collect();
-
-    let mut fail_pending = faults.fail_stop;
-    let mut now = 0.0f64;
-    let mut n_finished = 0usize;
-
-    loop {
-        // Retire every running task whose finish has arrived.
-        for (pi, ps) in procs.iter_mut().enumerate() {
-            let due = matches!(&ps.running, Some(rf) if rf.finish_s <= now);
-            if due {
-                let rf = ps.running.take().expect("checked running");
-                finished[rf.task.index()] = true;
-                n_finished += 1;
-                energy.active_j += rf.cycles as f64 * rf.level.energy_per_cycle;
-                records[rf.task.index()] = Some(ExecRecord {
-                    task: rf.task,
-                    proc: ProcId(pi as u32),
-                    start_s: rf.exec_start_s,
-                    finish_s: rf.finish_s,
-                    vdd: rf.level.vdd,
-                    cycles: rf.cycles,
-                });
-            }
-        }
-
-        // Fire the fail-stop once its time has come.
-        if let Some(fs) = fail_pending {
-            if fs.at_s <= now {
-                fail_pending = None;
-                injected.push(InjectedEvent::ProcFailed {
-                    proc: fs.proc,
-                    at_s: fs.at_s,
-                });
-                let fp = fs.proc.index();
-                procs[fp].dead = true;
-                if let Some(rf) = procs[fp].running.take() {
-                    // Fail-stop loses state: bill the partial execution,
-                    // re-run the task from scratch elsewhere.
-                    let ran_s = (fs.at_s - rf.exec_start_s).max(0.0);
-                    let cycles_done = ((ran_s * rf.level.freq).floor() as u64).min(rf.cycles);
-                    energy.active_j += cycles_done as f64 * rf.level.energy_per_cycle;
-                    aborted.push(ExecRecord {
-                        task: rf.task,
-                        proc: fs.proc,
-                        start_s: rf.exec_start_s,
-                        finish_s: fs.at_s,
-                        vdd: rf.level.vdd,
-                        cycles: cycles_done,
-                    });
-                }
-
-                let running_est: Vec<Option<(TaskId, f64)>> = procs
-                    .iter()
-                    .map(|p| {
-                        p.running
-                            .as_ref()
-                            .map(|rf| (rf.task, rf.expected_finish_s.max(now)))
-                    })
-                    .collect();
-                let dead: Vec<bool> = procs.iter().map(|p| p.dead).collect();
-                if let Some(rp) = replan(
-                    graph,
-                    &finished,
-                    &records,
-                    &running_est,
-                    &dead,
-                    now,
-                    deadline_s,
-                    policy,
-                    base_level,
-                    cfg,
-                    &solution.schedule,
-                ) {
-                    // Ladder journal: a = rung (0 reschedule, 1 base
-                    // raise, 2 task boost), key = the proc/task involved.
-                    flight::record(
-                        flight::ONLINE_FAULT,
-                        fs.proc.index() as u64,
-                        0,
-                        rp.migrated as u64,
-                    );
-                    recoveries.push(RecoveryAction::Rescheduled {
-                        failed_proc: fs.proc,
-                        at_s: fs.at_s,
-                        migrated: rp.migrated,
-                    });
-                    if (rp.level.vdd - base_level.vdd).abs() > 1e-12 {
-                        flight::record(flight::ONLINE_FAULT, fs.proc.index() as u64, 1, 0);
-                        recoveries.push(RecoveryAction::BaseLevelRaised {
-                            from_vdd: base_level.vdd,
-                            to_vdd: rp.level.vdd,
-                        });
-                        base_level = rp.level;
-                    }
-                    for (pi, q) in rp.queues.into_iter().enumerate() {
-                        procs[pi].queue = q.into();
-                    }
-                    for t in graph.tasks() {
-                        if let Some(tf) = rp.target_finish_s[t.index()] {
-                            target_finish_s[t.index()] = tf;
-                        }
-                    }
-                } else {
-                    // No survivor (or nothing pending): strand the dead
-                    // processor's queue; the loop below winds down.
-                    procs[fp].queue.clear();
-                }
-            }
-        }
-
-        // Dispatch: start every queue head whose predecessors are done,
-        // repeating because zero-weight tasks complete instantly.
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (pi, ps) in procs.iter_mut().enumerate() {
-                if ps.dead || ps.running.is_some() {
-                    continue;
-                }
-                let Some(&t) = ps.queue.front() else {
-                    continue;
-                };
-                if graph.predecessors(t).iter().any(|&q| !finished[q.index()]) {
-                    continue;
-                }
-                ps.queue.pop_front();
-                progress = true;
-                let w = graph.weight(t);
-                if w == 0 {
-                    finished[t.index()] = true;
-                    n_finished += 1;
-                    records[t.index()] = Some(ExecRecord {
-                        task: t,
-                        proc: ProcId(pi as u32),
-                        start_s: now,
-                        finish_s: now,
-                        vdd: ps.current.vdd,
-                        cycles: 0,
-                    });
-                    continue;
-                }
-
-                // Rung 2 — frequency choice.
-                let level = match policy {
-                    RecoveryPolicy::Absorb => base_level,
-                    RecoveryPolicy::Boost => {
-                        let window = target_finish_s[t.index()] - now;
-                        let pick = |window: f64| -> OperatingPoint {
-                            if window <= 0.0 {
-                                return *cfg.levels.fastest();
-                            }
-                            let required = w as f64 / window * (1.0 - 1e-9);
-                            let c = cfg
-                                .levels
-                                .lowest_at_least(required)
-                                .copied()
-                                .unwrap_or_else(|| *cfg.levels.fastest());
-                            if c.freq < base_level.freq {
-                                base_level
-                            } else {
-                                c
-                            }
-                        };
-                        let wants = pick(window);
-                        // A level change costs settle time; re-check the
-                        // shrunk window, but never *below* the latency-free
-                        // choice (avoids flip-flopping on zero slack).
-                        if (wants.vdd - ps.current.vdd).abs() > 1e-12 {
-                            let shrunk = pick(window - switch.latency_s - ps.extra_latency_s);
-                            if shrunk.freq > wants.freq {
-                                shrunk
-                            } else {
-                                wants
-                            }
-                        } else {
-                            wants
-                        }
-                    }
-                };
-                // A stuck regulator ignores the request.
-                let level = if (level.vdd - ps.current.vdd).abs() > 1e-12 && ps.stuck {
-                    injected.push(InjectedEvent::DvsStuck {
-                        proc: ProcId(pi as u32),
-                        requested_vdd: level.vdd,
-                    });
-                    ps.current
-                } else {
-                    level
-                };
-                if level.freq > base_level.freq + 1e-6 {
-                    flight::record(flight::ONLINE_FAULT, t.index() as u64, 2, pi as u64);
-                    recoveries.push(RecoveryAction::TaskBoosted {
-                        task: t,
-                        from_vdd: base_level.vdd,
-                        to_vdd: level.vdd,
-                    });
-                }
-
-                let mut exec_start = now;
-                if (level.vdd - ps.current.vdd).abs() > 1e-12 {
-                    dvs_switches += 1;
-                    energy.transition_j += switch.energy_j;
-                    let mut lat = switch.latency_s;
-                    if ps.extra_latency_s > 0.0 {
-                        lat += ps.extra_latency_s;
-                        injected.push(InjectedEvent::DvsDelayed {
-                            proc: ProcId(pi as u32),
-                            extra_s: ps.extra_latency_s,
-                        });
-                    }
-                    exec_start += lat;
-                    ps.current = level;
-                }
-                let cycles = eff[t.index()];
-                if cycles > w {
-                    injected.push(InjectedEvent::Overrun {
-                        task: t,
-                        factor: overrun_factor[t.index()].unwrap_or(1.0),
-                        cycles,
-                    });
-                }
-                ps.running = Some(InFlight {
-                    task: t,
-                    exec_start_s: exec_start,
-                    finish_s: exec_start + cycles as f64 / level.freq,
-                    expected_finish_s: exec_start + w as f64 / level.freq,
-                    level,
-                    cycles,
-                });
-            }
-        }
-
-        if n_finished == n {
-            break;
-        }
-
-        // Advance to the next event: a finish or the pending fail-stop.
-        let mut next = f64::INFINITY;
-        for p in &procs {
-            if let Some(rf) = &p.running {
-                next = next.min(rf.finish_s);
-            }
-        }
-        if let Some(fs) = fail_pending {
-            if next.is_finite() {
-                next = next.min(fs.at_s.max(now));
-            }
-        }
-        if !next.is_finite() {
-            // Nothing can ever run again (no surviving processor with
-            // dispatchable work): wind down with unfinished tasks.
-            break;
-        }
-        now = next;
-    }
-
-    // Bill idle/sleep per processor: gaps between executions at the
-    // plan level, to the fail time for dead processors and to
-    // max(deadline, makespan) for survivors.
-    let makespan_s = records
-        .iter()
-        .flatten()
-        .map(|r| r.finish_s)
-        .fold(0.0, f64::max);
-    let horizon_s = deadline_s.max(makespan_s);
-    for pi in 0..n_procs {
-        let pid = ProcId(pi as u32);
-        let mut intervals: Vec<(f64, f64)> = records
-            .iter()
-            .flatten()
-            .chain(aborted.iter())
-            .filter(|r| r.proc == pid)
-            .map(|r| (r.start_s, r.finish_s))
-            .collect();
-        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let end = match faults.fail_stop {
-            Some(fs) if fs.proc == pid => fs.at_s.min(horizon_s),
-            _ => horizon_s,
-        };
-        let mut cursor = 0.0f64;
-        for (s, f) in intervals {
-            account_idle(s - cursor, plan_level, cfg, &mut energy);
-            cursor = cursor.max(f);
-        }
-        account_idle(end - cursor, plan_level, cfg, &mut energy);
-    }
-
-    let tol = deadline_s * (1.0 + 1e-9);
-    let mut lateness = Vec::new();
-    for t in graph.tasks() {
-        match &records[t.index()] {
-            Some(r) if r.finish_s > tol => lateness.push(TaskLateness {
-                task: t,
-                lateness_s: r.finish_s - deadline_s,
-            }),
-            None => lateness.push(TaskLateness {
-                task: t,
-                lateness_s: f64::INFINITY,
-            }),
-            _ => {}
-        }
-    }
-    let outcome = if lateness.is_empty() {
-        RunOutcome::MetDeadline
-    } else {
-        sort_lateness(&mut lateness);
-        flight::record(flight::ONLINE_MISS, 0, lateness.len() as u64, 0);
-        flight::last_gasp("deadline-miss");
-        RunOutcome::DeadlineMiss { lateness }
-    };
+    // One frame at t = 0, every job due at the deadline, no reclamation.
+    // The solver asserts it only ever sees one graph: one per call.
+    let mut run = execute(
+        graph,
+        &Frame {
+            index: 0,
+            schedule: &solution.schedule,
+            plan_level: solution.level,
+            actual,
+            faults,
+            horizon_s: deadline_s,
+            due_s: None,
+            policy,
+            reclaim: false,
+            budget: &SolveBudget::unlimited(),
+            switch,
+        },
+        cfg,
+        &mut SuffixSolver::new(),
+    );
+    // The billing window is the frame's: survivors to
+    // max(deadline, makespan), idle straight into the run's breakdown.
+    bill_idle(
+        &run.records,
+        &run.aborted,
+        faults,
+        0.0,
+        deadline_s.max(run.makespan_s),
+        n_procs,
+        solution.level,
+        cfg,
+        &mut run.energy,
+    );
 
     if lamps_obs::metrics_enabled() {
         lamps_obs::counter("sim.faults.runs").inc();
-        lamps_obs::counter("sim.faults.injected").add(injected.len() as u64);
-        lamps_obs::counter("sim.faults.recoveries").add(recoveries.len() as u64);
-        let escalations = recoveries
+        lamps_obs::counter("sim.faults.injected").add(run.injected.len() as u64);
+        lamps_obs::counter("sim.faults.recoveries").add(run.recoveries.len() as u64);
+        let escalations = run
+            .recoveries
             .iter()
             .filter(|r| {
                 matches!(
@@ -608,111 +261,28 @@ pub fn run_with_faults(
             })
             .count();
         lamps_obs::counter("sim.faults.escalations").add(escalations as u64);
-        lamps_obs::counter("sim.faults.dvs_switches").add(dvs_switches as u64);
-        if matches!(outcome, RunOutcome::DeadlineMiss { .. }) {
+        lamps_obs::counter("sim.faults.dvs_switches").add(run.dvs_switches as u64);
+        if !run.outcome.met() {
             lamps_obs::counter("sim.faults.deadline_misses").inc();
         }
     }
 
     Ok(FaultyRunReport {
-        energy,
-        makespan_s,
-        outcome,
-        injected,
-        recoveries,
-        tasks: records,
-        aborted,
-        dvs_switches,
-    })
-}
-
-struct Replan {
-    level: OperatingPoint,
-    queues: Vec<Vec<TaskId>>,
-    /// `Some(new window end)` for every pending task.
-    target_finish_s: Vec<Option<f64>>,
-    migrated: usize,
-}
-
-/// Re-list-schedule the pending remainder on the survivors via the
-/// shared suffix re-solve (`lamps_core::suffix`), in the cycle domain of
-/// each candidate level, picking the lowest level whose re-planned
-/// makespan meets the deadline (the fastest if none does). Returns
-/// `None` when nothing is pending or no processor survives.
-#[allow(clippy::too_many_arguments)]
-fn replan(
-    graph: &TaskGraph,
-    finished: &[bool],
-    records: &[Option<ExecRecord>],
-    running_est: &[Option<(TaskId, f64)>],
-    dead: &[bool],
-    now: f64,
-    deadline_s: f64,
-    policy: RecoveryPolicy,
-    base_level: OperatingPoint,
-    cfg: &SchedulerConfig,
-    static_schedule: &Schedule,
-) -> Option<Replan> {
-    let n = graph.len();
-    let n_procs = dead.len();
-    let mut done = finished.to_vec();
-    for est in running_est.iter().flatten() {
-        done[est.0.index()] = true;
-    }
-
-    let mut finish_s = vec![0.0f64; n];
-    for t in graph.tasks() {
-        if finished[t.index()] {
-            finish_s[t.index()] = records[t.index()]
-                .as_ref()
-                .expect("finished tasks recorded")
-                .finish_s;
-        }
-    }
-    let candidates: Vec<OperatingPoint> = match policy {
-        RecoveryPolicy::Absorb => vec![base_level],
-        RecoveryPolicy::Boost => cfg.levels.at_least(base_level.freq).copied().collect(),
-    };
-    let ctx = SuffixContext {
-        finished,
-        finish_s: &finish_s,
-        running: running_est,
-        dead,
-        now_s: now,
-        deadline_s,
-        own_due_s: None,
-    };
-    let sp = resolve_suffix_fresh(graph, &ctx, &candidates, None)?;
-    let (level, ps) = (sp.level, sp.plan);
-
-    let mut queues: Vec<Vec<TaskId>> = vec![Vec::new(); n_procs];
-    let mut target_finish_s = vec![None; n];
-    let mut migrated = 0usize;
-    for (p, q) in queues.iter_mut().enumerate() {
-        for &t in ps.tasks_on(ProcId(p as u32)) {
-            q.push(t);
-            if static_schedule.proc(t) != ProcId(p as u32) {
-                migrated += 1;
-            }
-        }
-    }
-    for t in graph.tasks() {
-        if !done[t.index()] {
-            target_finish_s[t.index()] = Some(ps.finish(t) as f64 / level.freq);
-        }
-    }
-    Some(Replan {
-        level,
-        queues,
-        target_finish_s,
-        migrated,
+        energy: run.energy,
+        makespan_s: run.makespan_s,
+        outcome: run.outcome,
+        injected: run.injected,
+        recoveries: run.recoveries,
+        tasks: run.records,
+        aborted: run.aborted,
+        dvs_switches: run.dvs_switches,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{DvsFault, FailStop, FaultIntensity, Overrun};
+    use crate::faults::{DvsFault, DvsFaultKind, FailStop, FaultIntensity, Overrun};
     use crate::runner::{simulate, Policy};
     use crate::workload::actual_cycles;
     use lamps_core::{solve, Strategy};

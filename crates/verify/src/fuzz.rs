@@ -42,11 +42,11 @@
 
 use crate::case::Case;
 use crate::oracle::{exhaustive_optimum, OracleConfig, OracleError};
-use crate::reference::solve_reference;
+use crate::reference::{resolve_suffix_fresh, solve_reference};
 use crate::runtime::check_run;
 use crate::validator::{check_solution, rebill};
 use lamps_core::multi::{solve_with_deadlines, DeadlineVector};
-use lamps_core::suffix::{resolve_suffix_fresh, SuffixContext, SuffixSolver};
+use lamps_core::suffix::{SuffixContext, SuffixSolver};
 use lamps_core::{
     solve, solve_batch, solve_with_budget, BatchJob, BudgetedSolution, Completeness,
     SchedulerConfig, Solution, SolveBudget, SolveError, Strategy,

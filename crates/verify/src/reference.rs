@@ -23,12 +23,25 @@
 //! production one on purpose: list scheduling is not monotone in the
 //! processor count (Graham's anomalies), so the minimal feasible count a
 //! binary search finds depends on the probes it makes.
+//!
+//! [`resolve_suffix_fresh`] is the same kind of spec for the online
+//! runtimes' suffix re-solve ([`lamps_core::SuffixSolver::resolve`]):
+//! per candidate level it fills its own done/finish/availability
+//! vectors, derives EDF keys with [`latest_finish_times`] or
+//! [`latest_finish_times_with`], re-list-schedules with
+//! [`reschedule_remaining`] and tests feasibility itself — no arena
+//! reuse, no key memo, nothing shared with the solver's code.
 
+use crate::validator::DEADLINE_REL_EPS;
+use lamps_core::suffix::{SuffixContext, SuffixPlan};
 use lamps_core::{BudgetedSolution, Completeness, SchedulerConfig, Solution, SolveError, Strategy};
 use lamps_energy::{evaluate_summary, EnergyBreakdown};
 use lamps_power::OperatingPoint;
-use lamps_sched::{latest_finish_times, list_schedule, IdleSummary, Schedule};
-use lamps_taskgraph::TaskGraph;
+use lamps_sched::{
+    latest_finish_times, latest_finish_times_with, list_schedule, reschedule_remaining,
+    IdleSummary, PartialSchedule, ProcAvailability, Schedule,
+};
+use lamps_taskgraph::{TaskGraph, TaskId};
 use std::sync::Arc;
 
 /// List schedules of one graph under one key vector, memoized by count
@@ -194,14 +207,239 @@ fn min_feasible(
     Some(lo)
 }
 
+/// From-scratch reference for [`lamps_core::SuffixSolver::resolve`]:
+/// the same level sweep, recomputed per call and per candidate.
+///
+/// Candidates are tried in order; each re-list-schedules the pending
+/// suffix in its own cycle domain (times rounded up to cycles, finished
+/// tasks at their finish, a surviving processor's in-flight task done at
+/// its estimate and the processor free from then, idle survivors free
+/// from `now`, dead processors never). EDF keys are the latest finish
+/// times under the horizon (floored to cycles), tightened by finite own
+/// deadlines. A candidate is feasible when the makespan and every
+/// pending task's finish meet their deadlines within
+/// [`DEADLINE_REL_EPS`]; the first feasible one wins, else the last one
+/// evaluated. `None` when nothing is pending or no processor survives.
+pub fn resolve_suffix_fresh(
+    graph: &TaskGraph,
+    ctx: &SuffixContext<'_>,
+    candidates: &[OperatingPoint],
+    max_candidates: Option<u64>,
+) -> Option<SuffixPlan> {
+    let in_flight = |t: TaskId| ctx.running.iter().flatten().any(|&(rt, _)| rt == t);
+    let pending = graph
+        .tasks()
+        .any(|t| !ctx.finished[t.index()] && !in_flight(t));
+    if !pending || ctx.dead.iter().all(|&d| d) {
+        return None;
+    }
+    let late = |finish_s: f64, due_s: f64| finish_s > due_s * (1.0 + DEADLINE_REL_EPS);
+    let mut best: Option<(OperatingPoint, PartialSchedule, bool)> = None;
+    let mut steps = 0u64;
+    let mut complete = true;
+    for lvl in candidates {
+        if max_candidates.is_some_and(|cap| steps >= cap) {
+            complete = false;
+            break;
+        }
+        steps += 1;
+        let f = lvl.freq;
+        let cycles = |s: f64| (s * f).ceil().max(0.0) as u64;
+        let mut done = ctx.finished.to_vec();
+        let mut finish_done: Vec<u64> = graph
+            .tasks()
+            .map(|t| {
+                if ctx.finished[t.index()] {
+                    cycles(ctx.finish_s[t.index()])
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let mut avail = Vec::with_capacity(ctx.dead.len());
+        for (&dead, running) in ctx.dead.iter().zip(ctx.running) {
+            avail.push(match (dead, running) {
+                (true, _) => ProcAvailability::Failed,
+                (false, Some((t, est))) => {
+                    done[t.index()] = true;
+                    finish_done[t.index()] = cycles(*est);
+                    ProcAvailability::FreeAt(cycles(*est))
+                }
+                (false, None) => ProcAvailability::FreeAt(cycles(ctx.now_s)),
+            });
+        }
+        let horizon = (ctx.deadline_s * f).floor() as u64;
+        let keys = match ctx.own_due_s {
+            None => latest_finish_times(graph, horizon),
+            Some(own) => {
+                let own: Vec<Option<u64>> = own
+                    .iter()
+                    .map(|&d| d.is_finite().then(|| (d * f).floor().max(0.0) as u64))
+                    .collect();
+                latest_finish_times_with(graph, horizon, &own)
+            }
+        };
+        let ps = reschedule_remaining(graph, &done, &finish_done, &avail, &keys);
+        let feasible = !late(ps.makespan_cycles() as f64 / f, ctx.deadline_s)
+            && ctx.own_due_s.is_none_or(|own| {
+                graph
+                    .tasks()
+                    .all(|t| done[t.index()] || !late(ps.finish(t) as f64 / f, own[t.index()]))
+            });
+        best = Some((*lvl, ps, feasible));
+        if feasible {
+            break;
+        }
+    }
+    let (level, plan, feasible) = best?;
+    Some(SuffixPlan {
+        level,
+        plan,
+        feasible,
+        steps,
+        complete,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamps_core::{solve, solve_with_budget, SolveBudget};
+    use lamps_core::{solve, solve_with_budget, SolveBudget, SuffixSolver};
+    use lamps_taskgraph::gen::layered::{generate, LayeredConfig};
+    use lamps_taskgraph::rng::Rng;
     use lamps_taskgraph::GraphBuilder;
 
     fn cfg() -> SchedulerConfig {
         SchedulerConfig::paper()
+    }
+
+    /// A predecessor-closed random "finished" prefix: mark a prefix of
+    /// the topological order done with synthetic finish times.
+    fn random_prefix(graph: &TaskGraph, frac: f64, seed: u64) -> (Vec<bool>, Vec<f64>) {
+        let topo = graph.topo_order();
+        let k = ((topo.len() as f64) * frac) as usize;
+        let mut finished = vec![false; graph.len()];
+        let mut finish_s = vec![0.0f64; graph.len()];
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut t_acc = 0.0;
+        for t in topo.into_iter().take(k) {
+            finished[t.index()] = true;
+            t_acc += rng.gen_range(1e-4f64..3e-3);
+            finish_s[t.index()] = t_acc;
+        }
+        (finished, finish_s)
+    }
+
+    fn assert_plans_bitwise_equal(a: &SuffixPlan, b: &SuffixPlan, what: &str) {
+        assert_eq!(
+            a.level.vdd.to_bits(),
+            b.level.vdd.to_bits(),
+            "{what}: level"
+        );
+        assert_eq!(a.feasible, b.feasible, "{what}: feasible");
+        assert_eq!(a.steps, b.steps, "{what}: steps");
+        assert_eq!(a.plan, b.plan, "{what}: plan");
+    }
+
+    fn layered(seed: u64) -> TaskGraph {
+        generate(
+            &LayeredConfig {
+                n_tasks: 24,
+                n_layers: 5,
+                ..LayeredConfig::default()
+            },
+            seed,
+        )
+        .scale_weights(3_100_000)
+    }
+
+    #[test]
+    fn memoized_matches_fresh_bitwise_across_random_suffixes() {
+        let cfg = cfg();
+        let candidates: Vec<OperatingPoint> = cfg.levels.points().to_vec();
+        for seed in 0..12u64 {
+            let g = layered(seed + 1);
+            let (finished, finish_s) = random_prefix(&g, 0.3 + 0.05 * (seed % 5) as f64, seed);
+            let n_procs = 3;
+            let dead = vec![false, seed % 4 == 0, false];
+            let running = vec![None; n_procs];
+            let horizon = 2.0 * g.critical_path_cycles() as f64 / cfg.max_frequency();
+            let own: Vec<f64> = g
+                .tasks()
+                .map(|t| {
+                    if t.index() % 3 == 0 {
+                        horizon * 0.9
+                    } else {
+                        f64::INFINITY
+                    }
+                })
+                .collect();
+            for own_case in [None, Some(own.as_slice())] {
+                let ctx = SuffixContext {
+                    finished: &finished,
+                    finish_s: &finish_s,
+                    running: &running,
+                    dead: &dead,
+                    now_s: 0.01,
+                    deadline_s: horizon,
+                    own_due_s: own_case,
+                };
+                let mut solver = SuffixSolver::new();
+                // Twice through the memo: the second call must hit.
+                let first = solver.resolve(&g, &ctx, &candidates, None);
+                let second = solver.resolve(&g, &ctx, &candidates, None);
+                let fresh = resolve_suffix_fresh(&g, &ctx, &candidates, None);
+                match (first, second, fresh) {
+                    (Some(a), Some(b), Some(c)) => {
+                        assert_plans_bitwise_equal(&a, &c, "memo-miss vs fresh");
+                        assert_plans_bitwise_equal(&b, &c, "memo-hit vs fresh");
+                        assert!(solver.key_cache_hits() > 0, "second pass must hit the memo");
+                    }
+                    (None, None, None) => {}
+                    other => panic!("solver/fresh disagree on emptiness: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn suffix_reference_caps_and_winds_down_like_the_solver() {
+        let g = layered(9);
+        let cfg = cfg();
+        let candidates: Vec<OperatingPoint> = cfg.levels.points().to_vec();
+        let finished = vec![false; g.len()];
+        let finish_s = vec![0.0; g.len()];
+        let running = vec![None; 2];
+        let dead = vec![false; 2];
+        // An impossible horizon: a cap of one stops after the slowest.
+        let ctx = SuffixContext {
+            finished: &finished,
+            finish_s: &finish_s,
+            running: &running,
+            dead: &dead,
+            now_s: 0.0,
+            deadline_s: 1e-9,
+            own_due_s: None,
+        };
+        let capped = SuffixSolver::new()
+            .resolve(&g, &ctx, &candidates, Some(1))
+            .unwrap();
+        let fresh = resolve_suffix_fresh(&g, &ctx, &candidates, Some(1)).unwrap();
+        assert!(!fresh.complete && !fresh.feasible);
+        assert_plans_bitwise_equal(&capped, &fresh, "capped");
+        // Nothing pending, or no survivor: no plan.
+        let all_done = vec![true; g.len()];
+        let done_ctx = SuffixContext {
+            finished: &all_done,
+            ..ctx
+        };
+        assert!(resolve_suffix_fresh(&g, &done_ctx, &candidates, None).is_none());
+        let all_dead = vec![true; 2];
+        let dead_ctx = SuffixContext {
+            dead: &all_dead,
+            ..ctx
+        };
+        assert!(resolve_suffix_fresh(&g, &dead_ctx, &candidates, None).is_none());
     }
 
     fn fig4a() -> TaskGraph {

@@ -1,24 +1,28 @@
-//! Independent re-checking of fault-tolerant runtime traces.
+//! Independent re-checking of runtime traces.
 //!
-//! [`check_run`] plays the same role for [`lamps_sim::FaultyRunReport`]
-//! that [`crate::validator::check_solution`] plays for static
-//! solutions: it trusts nothing but the per-task execution records, the
-//! graph, the fault plan, and the raw platform parameters, and
-//! re-derives everything else — precedence, per-processor exclusivity,
-//! fail-stop containment, level legality, the deadline verdict, and a
-//! full energy re-bill under the runner's documented conventions
-//! (executed cycles at the level they ran at, gaps at the *plan* level
-//! with the float break-even predicate, a dead processor billed only to
-//! its fail time, survivors to `max(deadline, makespan)`).
+//! [`check_run`] and [`check_online`] play the role for
+//! [`lamps_sim::FaultyRunReport`] and [`lamps_sim::OnlineReport`] that
+//! [`crate::validator::check_solution`] plays for static solutions:
+//! they trust nothing but the per-job execution records, the graph, the
+//! fault plans, and the raw platform parameters, and re-derive
+//! everything else. Both runtimes execute frames on one executor, so
+//! both checkers run one per-frame checker — record sanity, precedence,
+//! per-processor exclusivity, fail-stop containment, level legality,
+//! the voltage walk, the makespan and the deadline verdict — and one
+//! window re-biller: executed cycles at the level they ran at, gaps at
+//! the *plan* level with the float break-even predicate, a dead
+//! processor billed only to its fail time, survivors to the window end
+//! (`max(deadline, makespan)` for a single run).
 
-use crate::validator::{DEADLINE_REL_EPS, ENERGY_REL_TOL};
+use crate::validator::{RebilledEnergy, DEADLINE_REL_EPS, ENERGY_REL_TOL};
 use lamps_core::{SchedulerConfig, Solution};
+use lamps_energy::EnergyBreakdown;
 use lamps_kpn::PeriodicDag;
 use lamps_power::OperatingPoint;
 use lamps_sched::ProcId;
 use lamps_sim::{
-    AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultyRunReport, FrameInput,
-    FrameRecord, OnlineConfig, OnlineReport, OnlineStream, RunOutcome,
+    AdmissionVerdict, DvsSwitchCost, ExecRecord, FaultPlan, FaultyRunReport, OnlineConfig,
+    OnlineReport, OnlineStream, RunOutcome,
 };
 use lamps_taskgraph::{TaskGraph, TaskId};
 use std::collections::VecDeque;
@@ -38,7 +42,8 @@ pub enum RunViolation {
         /// Tasks in the graph.
         graph: usize,
     },
-    /// A record finishes before it starts, or carries a non-finite time.
+    /// A record finishes before it starts, starts before its frame, or
+    /// carries a non-finite time.
     BadInterval {
         /// The offending task.
         task: TaskId,
@@ -136,8 +141,10 @@ pub enum RunViolation {
         /// Its value.
         value: f64,
     },
-    /// An online-trace invariant failed: admission ordering, window
-    /// chaining, shed-frame emptiness, counter consistency…
+    /// A frame-level invariant failed: an execution on an unemployed
+    /// processor, an aborted record off the fail-stop processor,
+    /// admission ordering, window chaining, shed-frame emptiness,
+    /// counter consistency… A single run is frame 0.
     Online {
         /// The offending frame (or the first involved one).
         frame: usize,
@@ -242,34 +249,88 @@ fn energy_per_cycle(cfg: &SchedulerConfig, vdd: f64) -> Option<f64> {
         .map(|p| p.energy_per_cycle)
 }
 
-/// Independently validate a fault-tolerant run's trace and re-bill its
-/// energy. Returns every violation found (empty = the trace is sound).
-#[allow(clippy::too_many_arguments)]
-pub fn check_run(
-    graph: &TaskGraph,
-    solution: &Solution,
-    actual: &[u64],
-    faults: &FaultPlan,
-    report: &FaultyRunReport,
+/// What one executed frame was given: its inputs, the platform it ran
+/// on, and when its jobs were due.
+struct FrameSpec<'a> {
+    frame: usize,
+    actual: &'a [u64],
+    faults: &'a FaultPlan,
+    /// Processors the plan employs.
+    n_procs: usize,
+    /// The plan level: every regulator starts there, gaps bill at it.
+    plan: OperatingPoint,
+    /// Due time of every job when `due_s` is `None`.
     deadline_s: f64,
+    /// Per-job due times, frame-relative.
+    due_s: Option<Vec<f64>>,
+}
+
+/// What one executed frame reports. Times are frame-relative.
+struct FrameTrace<'a> {
+    tasks: &'a [Option<ExecRecord>],
+    aborted: &'a [ExecRecord],
+    makespan_s: f64,
+    outcome: &'a RunOutcome,
+    dvs_switches: usize,
+}
+
+impl FrameSpec<'_> {
+    /// Job `t`'s due time and the finish past which it is late.
+    fn due(&self, t: TaskId) -> (f64, f64) {
+        match &self.due_s {
+            Some(due_s) => {
+                let due = due_s[t.index()];
+                (due, due + due.abs() * DEADLINE_REL_EPS)
+            }
+            None => (self.deadline_s, self.deadline_s * (1.0 + DEADLINE_REL_EPS)),
+        }
+    }
+}
+
+/// Structural checks of one executed frame: record sanity (interval,
+/// start within the frame, fault-mandated cycles, level legality, an
+/// employed processor, aborted records only on the fail-stop
+/// processor), precedence, exclusivity, dead-processor silence, the
+/// voltage walk from the plan level, the makespan and the outcome.
+fn check_frame(
+    graph: &TaskGraph,
+    spec: &FrameSpec<'_>,
+    tr: &FrameTrace<'_>,
     cfg: &SchedulerConfig,
-    switch: &DvsSwitchCost,
-) -> Vec<RunViolation> {
-    let mut v = Vec::new();
+    v: &mut Vec<RunViolation>,
+) {
     let n = graph.len();
-    if report.tasks.len() != n {
+    let frame = spec.frame;
+    if tr.tasks.len() != n {
         v.push(RunViolation::WrongTaskCount {
-            reported: report.tasks.len(),
+            reported: tr.tasks.len(),
             graph: n,
         });
-        return v;
+        return;
     }
-    let eff = faults.effective_cycles(graph, actual);
+    let eff = spec.faults.effective_cycles(graph, spec.actual);
+    let legal = |r: &ExecRecord, v: &mut Vec<RunViolation>| {
+        if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
+            v.push(RunViolation::IllegalLevel {
+                task: r.task,
+                vdd: r.vdd,
+            });
+        }
+        if r.proc.index() >= spec.n_procs {
+            v.push(RunViolation::Online {
+                frame,
+                detail: format!("{} ran on unemployed {}", r.task, r.proc),
+            });
+        }
+    };
 
-    // Per-record sanity: interval shape, cycle counts, level legality.
     for t in graph.tasks() {
-        if let Some(r) = &report.tasks[t.index()] {
-            if !r.start_s.is_finite() || !r.finish_s.is_finite() || r.finish_s < r.start_s {
+        if let Some(r) = &tr.tasks[t.index()] {
+            if !r.start_s.is_finite()
+                || !r.finish_s.is_finite()
+                || r.finish_s < r.start_s
+                || r.start_s < -TIME_ABS_TOL
+            {
                 v.push(RunViolation::BadInterval {
                     task: t,
                     start_s: r.start_s,
@@ -283,15 +344,10 @@ pub fn check_run(
                     expected: eff[t.index()],
                 });
             }
-            if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
-                v.push(RunViolation::IllegalLevel {
-                    task: t,
-                    vdd: r.vdd,
-                });
-            }
+            legal(r, v);
         }
     }
-    for r in &report.aborted {
+    for r in tr.aborted {
         if r.cycles > eff[r.task.index()] {
             v.push(RunViolation::WrongCycles {
                 task: r.task,
@@ -299,36 +355,41 @@ pub fn check_run(
                 expected: eff[r.task.index()],
             });
         }
-        if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
-            v.push(RunViolation::IllegalLevel {
-                task: r.task,
-                vdd: r.vdd,
-            });
+        legal(r, v);
+        match spec.faults.fail_stop {
+            Some(fs) if fs.proc == r.proc => {}
+            _ => v.push(RunViolation::Online {
+                frame,
+                detail: format!(
+                    "aborted record for {} on {} without a fail-stop there",
+                    r.task, r.proc
+                ),
+            }),
         }
     }
 
-    // Precedence over completed records.
     for t in graph.tasks() {
-        let Some(r) = &report.tasks[t.index()] else {
+        let Some(r) = &tr.tasks[t.index()] else {
             continue;
         };
         for &p in graph.predecessors(t) {
-            match &report.tasks[p.index()] {
+            match &tr.tasks[p.index()] {
                 Some(pr) if r.start_s >= pr.finish_s - TIME_ABS_TOL => {}
                 _ => v.push(RunViolation::Precedence { task: t, pred: p }),
             }
         }
     }
 
-    // Per-processor exclusivity over completed + aborted executions.
-    let n_procs = solution.schedule.n_procs();
-    for pi in 0..n_procs {
+    let mut switches = 0usize;
+    for pi in 0..spec.n_procs {
         let pid = ProcId(pi as u32);
-        let mut on_proc: Vec<&ExecRecord> = report
+        // Zero-cycle records count: an execution aborted inside the
+        // voltage-settle window still switched the regulator.
+        let mut on_proc: Vec<&ExecRecord> = tr
             .tasks
             .iter()
             .flatten()
-            .chain(report.aborted.iter())
+            .chain(tr.aborted.iter())
             .filter(|r| r.proc == pid)
             .collect();
         // Zero-width records (instant zero-weight tasks) sort before the
@@ -350,60 +411,73 @@ pub fn check_run(
         }
         // Fail-stop containment: nothing executes on a dead processor
         // past its fail time.
-        if let Some(fs) = faults.fail_stop {
-            if fs.proc == pid {
-                for r in &on_proc {
-                    if r.finish_s > fs.at_s + TIME_ABS_TOL {
-                        v.push(RunViolation::DeadProcExecution {
-                            proc: pid,
-                            task: r.task,
-                            finish_s: r.finish_s,
-                            fail_at_s: fs.at_s,
-                        });
-                    }
+        if let Some(fs) = spec.faults.fail_stop.filter(|fs| fs.proc == pid) {
+            for r in &on_proc {
+                if r.finish_s > fs.at_s + TIME_ABS_TOL {
+                    v.push(RunViolation::DeadProcExecution {
+                        proc: pid,
+                        task: r.task,
+                        finish_s: r.finish_s,
+                        fail_at_s: fs.at_s,
+                    });
                 }
             }
         }
+        // Each frame's regulators start at the plan level.
+        let mut current = spec.plan.vdd;
+        for r in &on_proc {
+            if (r.vdd - current).abs() > 1e-12 {
+                switches += 1;
+                current = r.vdd;
+            }
+        }
+    }
+    if switches != tr.dvs_switches {
+        v.push(RunViolation::SwitchCountMismatch {
+            reported: tr.dvs_switches,
+            recomputed: switches,
+        });
     }
 
-    // Makespan and outcome, recomputed from the records alone.
-    let makespan = report
+    let makespan = tr
         .tasks
         .iter()
         .flatten()
         .map(|r| r.finish_s)
         .fold(0.0f64, f64::max);
-    if (makespan - report.makespan_s).abs() > TIME_ABS_TOL {
+    if (makespan - tr.makespan_s).abs() > TIME_ABS_TOL {
         v.push(RunViolation::MakespanMismatch {
-            reported: report.makespan_s,
+            reported: tr.makespan_s,
             recomputed: makespan,
         });
     }
-    let tol = deadline_s * (1.0 + DEADLINE_REL_EPS);
-    let mut late: Vec<TaskId> = Vec::new();
-    for t in graph.tasks() {
-        match &report.tasks[t.index()] {
-            Some(r) if r.finish_s > tol => late.push(t),
-            None => late.push(t),
-            _ => {}
-        }
-    }
-    match &report.outcome {
+
+    let late: Vec<TaskId> = graph
+        .tasks()
+        .filter(|&t| match &tr.tasks[t.index()] {
+            Some(r) => r.finish_s > spec.due(t).1,
+            None => true,
+        })
+        .collect();
+    match tr.outcome {
         RunOutcome::MetDeadline if !late.is_empty() => {
             v.push(RunViolation::OutcomeMismatch {
-                detail: format!("claims MetDeadline but {} tasks are late", late.len()),
+                detail: format!(
+                    "frame {frame} claims MetDeadline but {} jobs are late",
+                    late.len()
+                ),
             });
         }
         RunOutcome::DeadlineMiss { lateness } => {
             let reported: Vec<TaskId> = lateness.iter().map(|l| l.task).collect();
             if reported != late {
                 v.push(RunViolation::OutcomeMismatch {
-                    detail: format!("late set {reported:?} vs recomputed {late:?}"),
+                    detail: format!("frame {frame}: late set {reported:?} vs recomputed {late:?}"),
                 });
             }
             for l in lateness {
-                let want = match &report.tasks[l.task.index()] {
-                    Some(r) => r.finish_s - deadline_s,
+                let want = match &tr.tasks[l.task.index()] {
+                    Some(r) => r.finish_s - spec.due(l.task).0,
                     None => f64::INFINITY,
                 };
                 let agree = (l.lateness_s.is_infinite() && want.is_infinite())
@@ -411,7 +485,7 @@ pub fn check_run(
                 if !agree {
                     v.push(RunViolation::OutcomeMismatch {
                         detail: format!(
-                            "{}: lateness {} s vs recomputed {} s",
+                            "frame {frame}, {}: lateness {} s vs recomputed {} s",
                             l.task, l.lateness_s, want
                         ),
                     });
@@ -420,145 +494,153 @@ pub fn check_run(
         }
         _ => {}
     }
-
-    // Switch count: replay each processor's voltage from the plan level
-    // through its non-trivial executions in start order.
-    let mut switches = 0usize;
-    for pi in 0..n_procs {
-        let pid = ProcId(pi as u32);
-        // Zero-cycle records matter here: an execution aborted inside
-        // the voltage-settle window still switched the regulator.
-        let mut on_proc: Vec<&ExecRecord> = report
-            .tasks
-            .iter()
-            .flatten()
-            .chain(report.aborted.iter())
-            .filter(|r| r.proc == pid)
-            .collect();
-        on_proc.sort_by(|a, b| {
-            a.start_s
-                .total_cmp(&b.start_s)
-                .then(a.finish_s.total_cmp(&b.finish_s))
-        });
-        let mut current = solution.level.vdd;
-        for r in on_proc {
-            if (r.vdd - current).abs() > 1e-12 {
-                switches += 1;
-                current = r.vdd;
-            }
-        }
-    }
-    if switches != report.dvs_switches {
-        v.push(RunViolation::SwitchCountMismatch {
-            reported: report.dvs_switches,
-            recomputed: switches,
-        });
-    }
-
-    for (field, value) in [
-        ("active_j", report.energy.active_j),
-        ("idle_j", report.energy.idle_j),
-        ("sleep_j", report.energy.sleep_j),
-        ("transition_j", report.energy.transition_j),
-    ] {
-        if !value.is_finite() {
-            v.push(RunViolation::NonFiniteEnergy { field, value });
-        }
-    }
-
-    // Only re-bill structurally sound traces; a broken structure already
-    // fails and its billing is meaningless.
-    if v.is_empty() {
-        let re = rebill_run(report, solution, faults, deadline_s, cfg, switch);
-        for (field, reported, recomputed) in [
-            ("active_j", report.energy.active_j, re.0.active_j),
-            ("idle_j", report.energy.idle_j, re.0.idle_j),
-            ("sleep_j", report.energy.sleep_j, re.0.sleep_j),
-            (
-                "transition_j",
-                report.energy.transition_j,
-                re.0.transition_j,
-            ),
-            ("total_j", report.energy.total(), re.0.total()),
-        ] {
-            if !rel_close(reported, recomputed, ENERGY_REL_TOL) {
-                v.push(RunViolation::EnergyMismatch {
-                    field,
-                    reported,
-                    recomputed,
-                });
-            }
-        }
-        if report.energy.sleep_episodes != re.1 {
-            v.push(RunViolation::SleepEpisodeMismatch {
-                reported: report.energy.sleep_episodes,
-                recomputed: re.1,
-            });
-        }
-    }
-    v
 }
 
-/// From-scratch energy re-bill of a faulty run, mirroring the runner's
-/// documented conventions independently of its code.
-fn rebill_run(
-    report: &FaultyRunReport,
-    solution: &Solution,
-    faults: &FaultPlan,
-    deadline_s: f64,
+/// From-scratch re-bill of one frame's window `[start, end)` (absolute;
+/// records are frame-relative), mirroring the runtime's documented
+/// conventions independently of its code. Switch energy is the
+/// caller's: it is charged per report, not per window.
+fn rebill_window(
+    spec: &FrameSpec<'_>,
+    tr: &FrameTrace<'_>,
+    start: f64,
+    end: f64,
     cfg: &SchedulerConfig,
-    switch: &DvsSwitchCost,
-) -> (crate::validator::RebilledEnergy, usize) {
-    let mut out = crate::validator::RebilledEnergy::default();
-    let mut episodes = 0usize;
-    let plan = solution.level;
-
-    for r in report.tasks.iter().flatten().chain(report.aborted.iter()) {
+    out: &mut RebilledEnergy,
+) {
+    let plan = spec.plan;
+    for r in tr.tasks.iter().flatten().chain(tr.aborted.iter()) {
         if r.cycles > 0 {
             let epc = energy_per_cycle(cfg, r.vdd).unwrap_or(plan.energy_per_cycle);
             out.active_j += r.cycles as f64 * epc;
         }
     }
-    out.transition_j += report.dvs_switches as f64 * switch.energy_j;
-
-    let horizon = deadline_s.max(report.makespan_s);
-    let n_procs = solution.schedule.n_procs();
-    for pi in 0..n_procs {
+    for pi in 0..spec.n_procs {
         let pid = ProcId(pi as u32);
-        let mut intervals: Vec<(f64, f64)> = report
+        let mut intervals: Vec<(f64, f64)> = tr
             .tasks
             .iter()
             .flatten()
-            .chain(report.aborted.iter())
+            .chain(tr.aborted.iter())
             .filter(|r| r.proc == pid)
-            .map(|r| (r.start_s, r.finish_s))
+            .map(|r| (start + r.start_s, start + r.finish_s))
             .collect();
         intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let end = match faults.fail_stop {
-            Some(fs) if fs.proc == pid => fs.at_s.min(horizon),
-            _ => horizon,
+        let p_end = match spec.faults.fail_stop {
+            Some(fs) if fs.proc == pid => (start + fs.at_s).min(end),
+            _ => end,
         };
-        let mut cursor = 0.0f64;
+        let mut cursor = start;
         let mut gaps: Vec<f64> = Vec::new();
         for (s, f) in intervals {
             gaps.push(s - cursor);
             cursor = cursor.max(f);
         }
-        gaps.push(end - cursor);
-        for gap in gaps {
-            if gap <= 0.0 {
-                continue;
-            }
+        gaps.push(p_end - cursor);
+        for gap in gaps.into_iter().filter(|&g| g > 0.0) {
             if cfg.sleep.worth_sleeping(plan.idle_power, gap) {
                 out.sleep_j += cfg.sleep.sleep_power * gap;
                 out.transition_j += cfg.sleep.transition_energy;
-                episodes += 1;
+                out.sleep_episodes += 1;
             } else {
                 out.idle_j += plan.idle_power * gap;
             }
         }
     }
-    (out, episodes)
+}
+
+/// Every energy component must be finite.
+fn check_finite_energy(e: &EnergyBreakdown, v: &mut Vec<RunViolation>) {
+    for (field, value) in [
+        ("active_j", e.active_j),
+        ("idle_j", e.idle_j),
+        ("sleep_j", e.sleep_j),
+        ("transition_j", e.transition_j),
+    ] {
+        if !value.is_finite() {
+            v.push(RunViolation::NonFiniteEnergy { field, value });
+        }
+    }
+}
+
+/// The reported bill must match the independent re-bill.
+fn compare_bill(e: &EnergyBreakdown, re: &RebilledEnergy, v: &mut Vec<RunViolation>) {
+    for (field, reported, recomputed) in [
+        ("active_j", e.active_j, re.active_j),
+        ("idle_j", e.idle_j, re.idle_j),
+        ("sleep_j", e.sleep_j, re.sleep_j),
+        ("transition_j", e.transition_j, re.transition_j),
+        ("total_j", e.total(), re.total()),
+    ] {
+        if !rel_close(reported, recomputed, ENERGY_REL_TOL) {
+            v.push(RunViolation::EnergyMismatch {
+                field,
+                reported,
+                recomputed,
+            });
+        }
+    }
+    if e.sleep_episodes != re.sleep_episodes {
+        v.push(RunViolation::SleepEpisodeMismatch {
+            reported: e.sleep_episodes,
+            recomputed: re.sleep_episodes,
+        });
+    }
+}
+
+/// Independently validate a fault-tolerant run's trace and re-bill its
+/// energy: the run is frame 0, every job due at `deadline_s`, billed to
+/// `max(deadline, makespan)`. Returns every violation found (empty =
+/// the trace is sound).
+#[allow(clippy::too_many_arguments)]
+pub fn check_run(
+    graph: &TaskGraph,
+    solution: &Solution,
+    actual: &[u64],
+    faults: &FaultPlan,
+    report: &FaultyRunReport,
+    deadline_s: f64,
+    cfg: &SchedulerConfig,
+    switch: &DvsSwitchCost,
+) -> Vec<RunViolation> {
+    let mut v = Vec::new();
+    let spec = FrameSpec {
+        frame: 0,
+        actual,
+        faults,
+        n_procs: solution.schedule.n_procs(),
+        plan: solution.level,
+        deadline_s,
+        due_s: None,
+    };
+    let tr = FrameTrace {
+        tasks: &report.tasks,
+        aborted: &report.aborted,
+        makespan_s: report.makespan_s,
+        outcome: &report.outcome,
+        dvs_switches: report.dvs_switches,
+    };
+    check_frame(graph, &spec, &tr, cfg, &mut v);
+    if matches!(v.first(), Some(RunViolation::WrongTaskCount { .. })) {
+        return v;
+    }
+    check_finite_energy(&report.energy, &mut v);
+    // Only re-bill structurally sound traces; a broken structure already
+    // fails and its billing is meaningless.
+    if v.is_empty() {
+        let mut re = RebilledEnergy::default();
+        rebill_window(
+            &spec,
+            &tr,
+            0.0,
+            deadline_s.max(report.makespan_s),
+            cfg,
+            &mut re,
+        );
+        re.transition_j += report.dvs_switches as f64 * switch.energy_j;
+        compare_bill(&report.energy, &re, &mut v);
+    }
+    v
 }
 
 /// Independently validate a full online trace against the inputs that
@@ -578,17 +660,12 @@ fn rebill_run(
 ///   its window;
 /// * **shed-frame emptiness** — a dropped frame executes nothing and
 ///   consumes nothing;
-/// * **per-frame structure** — intervals, fault-mandated cycle counts,
-///   precedence, per-processor exclusivity, dead-processor silence,
-///   level legality, and the per-frame voltage walk (each frame's
-///   regulators start at the plan level);
-/// * **arrival-anchored outcomes** — job `j` of the frame arriving at
-///   `a` is due `a + d_j / f_max` regardless of deferral;
-/// * the **cross-frame counters** and a full **energy re-bill** under
-///   the documented window conventions (executed cycles at their
-///   recorded levels, gaps at the plan level with the break-even
-///   predicate, a dead processor billed to its fail time, switches into
-///   the transition bucket).
+/// * **per-frame structure** through the same frame checker as
+///   [`check_run`], with **arrival-anchored outcomes** — job `j` of the
+///   frame arriving at `a` is due `a + d_j / f_max` regardless of
+///   deferral;
+/// * the **cross-frame counters** and a full **energy re-bill** of every
+///   window.
 ///
 /// Returns every violation found (empty = the trace is sound).
 pub fn check_online(
@@ -649,7 +726,6 @@ pub fn check_online(
     let due_rel: Vec<f64> = (0..n)
         .map(|j| dag.deadlines[j].unwrap_or(dag.hyperperiod_cycles) as f64 / f_max)
         .collect();
-
     // Replay the admission chain from the arrivals and the recorded
     // frame completions.
     let mut pending: VecDeque<f64> = VecDeque::new();
@@ -746,7 +822,8 @@ pub fn check_online(
         });
     }
 
-    // Window chaining and per-frame structure over executed frames.
+    // Window chaining and per-frame structure over executed frames; the
+    // same frames' windows are re-billed.
     let executed: Vec<usize> = report
         .frames
         .iter()
@@ -754,12 +831,14 @@ pub fn check_online(
         .filter(|(_, f)| f.verdict.start_s().is_some())
         .map(|(i, _)| i)
         .collect();
+    let mut re = RebilledEnergy::default();
     for (k, &fi) in executed.iter().enumerate() {
         let fr = &report.frames[fi];
+        let input = &stream.frames[fi];
         let start = fr.verdict.start_s().expect("executed");
         let expected_end = match executed.get(k + 1) {
             Some(&nx) => report.frames[nx].verdict.start_s().expect("executed"),
-            None => (start + fr.makespan_s).max(stream.frames[fi].arrival_s + span),
+            None => (start + fr.makespan_s).max(input.arrival_s + span),
         };
         if (fr.window_end_s - expected_end).abs() > TIME_ABS_TOL {
             v.push(RunViolation::Online {
@@ -780,17 +859,44 @@ pub fn check_online(
                 ),
             });
         }
-        check_online_frame(
-            graph,
-            &stream.frames[fi],
-            fr,
-            start,
-            &due_rel,
-            report,
-            cfg,
-            &mut v,
-        );
+        if !fr.energy_j.is_finite() || fr.energy_j < 0.0 {
+            v.push(RunViolation::Online {
+                frame: fi,
+                detail: format!(
+                    "frame energy {} J must be finite and non-negative",
+                    fr.energy_j
+                ),
+            });
+        }
+        let Some(outcome) = &fr.outcome else {
+            v.push(RunViolation::Online {
+                frame: fi,
+                detail: "an executed frame must carry an outcome".into(),
+            });
+            continue;
+        };
+        // Arrival-anchored: offset ≤ 0 for a deferred frame.
+        let offset = input.arrival_s - start;
+        let spec = FrameSpec {
+            frame: fi,
+            actual: &input.actual,
+            faults: &input.faults,
+            n_procs: report.n_procs,
+            plan,
+            deadline_s: offset + span,
+            due_s: Some(due_rel.iter().map(|d| offset + d).collect()),
+        };
+        let tr = FrameTrace {
+            tasks: &fr.tasks,
+            aborted: &fr.aborted,
+            makespan_s: fr.makespan_s,
+            outcome,
+            dvs_switches: fr.dvs_switches,
+        };
+        check_frame(graph, &spec, &tr, cfg, &mut v);
+        rebill_window(&spec, &tr, start, fr.window_end_s, cfg, &mut re);
     }
+    re.transition_j += report.dvs_switches as f64 * ocfg.switch.energy_j;
 
     // Shed frames execute nothing and consume nothing.
     for fr in &report.frames {
@@ -876,41 +982,10 @@ pub fn check_online(
         });
     }
 
-    for (field, value) in [
-        ("active_j", report.energy.active_j),
-        ("idle_j", report.energy.idle_j),
-        ("sleep_j", report.energy.sleep_j),
-        ("transition_j", report.energy.transition_j),
-    ] {
-        if !value.is_finite() {
-            v.push(RunViolation::NonFiniteEnergy { field, value });
-        }
-    }
-
+    check_finite_energy(&report.energy, &mut v);
     // Only re-bill structurally sound traces.
     if v.is_empty() {
-        let (re, episodes) = rebill_online(stream, report, plan, ocfg, cfg);
-        for (field, reported, recomputed) in [
-            ("active_j", report.energy.active_j, re.active_j),
-            ("idle_j", report.energy.idle_j, re.idle_j),
-            ("sleep_j", report.energy.sleep_j, re.sleep_j),
-            ("transition_j", report.energy.transition_j, re.transition_j),
-            ("total_j", report.energy.total(), re.total()),
-        ] {
-            if !rel_close(reported, recomputed, ENERGY_REL_TOL) {
-                v.push(RunViolation::EnergyMismatch {
-                    field,
-                    reported,
-                    recomputed,
-                });
-            }
-        }
-        if report.energy.sleep_episodes != episodes {
-            v.push(RunViolation::SleepEpisodeMismatch {
-                reported: report.energy.sleep_episodes,
-                recomputed: episodes,
-            });
-        }
+        compare_bill(&report.energy, &re, &mut v);
         let frame_sum: f64 = report.frames.iter().map(|f| f.energy_j).sum();
         if !rel_close(frame_sum, report.energy.total(), ENERGY_REL_TOL) {
             v.push(RunViolation::Online {
@@ -923,301 +998,6 @@ pub fn check_online(
         }
     }
     v
-}
-
-/// Structural checks of one executed frame: record sanity, precedence,
-/// exclusivity, dead-processor silence, the per-frame voltage walk, and
-/// the arrival-anchored outcome. All record times are frame-relative.
-#[allow(clippy::too_many_arguments)]
-fn check_online_frame(
-    graph: &TaskGraph,
-    input: &FrameInput,
-    fr: &FrameRecord,
-    start: f64,
-    due_rel: &[f64],
-    report: &OnlineReport,
-    cfg: &SchedulerConfig,
-    v: &mut Vec<RunViolation>,
-) {
-    let n = graph.len();
-    let frame = fr.frame;
-    if fr.tasks.len() != n {
-        v.push(RunViolation::WrongTaskCount {
-            reported: fr.tasks.len(),
-            graph: n,
-        });
-        return;
-    }
-    if !fr.energy_j.is_finite() || fr.energy_j < 0.0 {
-        v.push(RunViolation::Online {
-            frame,
-            detail: format!(
-                "frame energy {} J must be finite and non-negative",
-                fr.energy_j
-            ),
-        });
-    }
-    let eff = input.faults.effective_cycles(graph, &input.actual);
-
-    for t in graph.tasks() {
-        if let Some(r) = &fr.tasks[t.index()] {
-            if !r.start_s.is_finite()
-                || !r.finish_s.is_finite()
-                || r.finish_s < r.start_s
-                || r.start_s < -TIME_ABS_TOL
-            {
-                v.push(RunViolation::BadInterval {
-                    task: t,
-                    start_s: r.start_s,
-                    finish_s: r.finish_s,
-                });
-            }
-            if r.cycles != eff[t.index()] {
-                v.push(RunViolation::WrongCycles {
-                    task: t,
-                    recorded: r.cycles,
-                    expected: eff[t.index()],
-                });
-            }
-            if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
-                v.push(RunViolation::IllegalLevel {
-                    task: t,
-                    vdd: r.vdd,
-                });
-            }
-            if r.proc.index() >= report.n_procs {
-                v.push(RunViolation::Online {
-                    frame,
-                    detail: format!("{} ran on unemployed {}", r.task, r.proc),
-                });
-            }
-        }
-    }
-    for r in &fr.aborted {
-        if r.cycles > eff[r.task.index()] {
-            v.push(RunViolation::WrongCycles {
-                task: r.task,
-                recorded: r.cycles,
-                expected: eff[r.task.index()],
-            });
-        }
-        if r.cycles > 0 && energy_per_cycle(cfg, r.vdd).is_none() {
-            v.push(RunViolation::IllegalLevel {
-                task: r.task,
-                vdd: r.vdd,
-            });
-        }
-        match input.faults.fail_stop {
-            Some(fs) if fs.proc == r.proc => {}
-            _ => v.push(RunViolation::Online {
-                frame,
-                detail: format!(
-                    "aborted record for {} on {} without a fail-stop there",
-                    r.task, r.proc
-                ),
-            }),
-        }
-    }
-
-    for t in graph.tasks() {
-        let Some(r) = &fr.tasks[t.index()] else {
-            continue;
-        };
-        for &p in graph.predecessors(t) {
-            match &fr.tasks[p.index()] {
-                Some(pr) if r.start_s >= pr.finish_s - TIME_ABS_TOL => {}
-                _ => v.push(RunViolation::Precedence { task: t, pred: p }),
-            }
-        }
-    }
-
-    let mut switches = 0usize;
-    for pi in 0..report.n_procs {
-        let pid = ProcId(pi as u32);
-        let mut on_proc: Vec<&ExecRecord> = fr
-            .tasks
-            .iter()
-            .flatten()
-            .chain(fr.aborted.iter())
-            .filter(|r| r.proc == pid)
-            .collect();
-        on_proc.sort_by(|a, b| {
-            a.start_s
-                .total_cmp(&b.start_s)
-                .then(a.finish_s.total_cmp(&b.finish_s))
-                .then(a.task.0.cmp(&b.task.0))
-        });
-        for w in on_proc.windows(2) {
-            if w[0].finish_s > w[1].start_s + TIME_ABS_TOL {
-                v.push(RunViolation::Overlap {
-                    proc: pid,
-                    first: w[0].task,
-                    second: w[1].task,
-                });
-            }
-        }
-        if let Some(fs) = input.faults.fail_stop {
-            if fs.proc == pid {
-                for r in &on_proc {
-                    if r.finish_s > fs.at_s + TIME_ABS_TOL {
-                        v.push(RunViolation::DeadProcExecution {
-                            proc: pid,
-                            task: r.task,
-                            finish_s: r.finish_s,
-                            fail_at_s: fs.at_s,
-                        });
-                    }
-                }
-            }
-        }
-        // Each frame's regulators start at the plan level.
-        let mut current = report.plan_vdd;
-        for r in &on_proc {
-            if (r.vdd - current).abs() > 1e-12 {
-                switches += 1;
-                current = r.vdd;
-            }
-        }
-    }
-    if switches != fr.dvs_switches {
-        v.push(RunViolation::SwitchCountMismatch {
-            reported: fr.dvs_switches,
-            recomputed: switches,
-        });
-    }
-
-    let makespan = fr
-        .tasks
-        .iter()
-        .flatten()
-        .map(|r| r.finish_s)
-        .fold(0.0f64, f64::max);
-    if (makespan - fr.makespan_s).abs() > TIME_ABS_TOL {
-        v.push(RunViolation::MakespanMismatch {
-            reported: fr.makespan_s,
-            recomputed: makespan,
-        });
-    }
-
-    // Arrival-anchored outcome: job j is due at arrival + d_j / f_max
-    // regardless of when the frame started (offset ≤ 0 for a deferred
-    // frame).
-    let offset = input.arrival_s - start;
-    let Some(outcome) = &fr.outcome else {
-        v.push(RunViolation::Online {
-            frame,
-            detail: "an executed frame must carry an outcome".into(),
-        });
-        return;
-    };
-    let mut late: Vec<TaskId> = Vec::new();
-    for t in graph.tasks() {
-        let due = offset + due_rel[t.index()];
-        let tol = due + due.abs() * DEADLINE_REL_EPS;
-        match &fr.tasks[t.index()] {
-            Some(r) if r.finish_s > tol => late.push(t),
-            None => late.push(t),
-            _ => {}
-        }
-    }
-    match outcome {
-        RunOutcome::MetDeadline if !late.is_empty() => {
-            v.push(RunViolation::OutcomeMismatch {
-                detail: format!(
-                    "frame {frame} claims MetDeadline but {} jobs are late",
-                    late.len()
-                ),
-            });
-        }
-        RunOutcome::DeadlineMiss { lateness } => {
-            let reported: Vec<TaskId> = lateness.iter().map(|l| l.task).collect();
-            if reported != late {
-                v.push(RunViolation::OutcomeMismatch {
-                    detail: format!("frame {frame}: late set {reported:?} vs recomputed {late:?}"),
-                });
-            }
-            for l in lateness {
-                let due = offset + due_rel[l.task.index()];
-                let want = match &fr.tasks[l.task.index()] {
-                    Some(r) => r.finish_s - due,
-                    None => f64::INFINITY,
-                };
-                let agree = (l.lateness_s.is_infinite() && want.is_infinite())
-                    || (l.lateness_s - want).abs() <= TIME_ABS_TOL;
-                if !agree {
-                    v.push(RunViolation::OutcomeMismatch {
-                        detail: format!(
-                            "frame {frame}, {}: lateness {} s vs recomputed {} s",
-                            l.task, l.lateness_s, want
-                        ),
-                    });
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// From-scratch energy re-bill of an online run under the documented
-/// window conventions, independent of the runtime's code.
-fn rebill_online(
-    stream: &OnlineStream,
-    report: &OnlineReport,
-    plan: OperatingPoint,
-    ocfg: &OnlineConfig,
-    cfg: &SchedulerConfig,
-) -> (crate::validator::RebilledEnergy, usize) {
-    let mut out = crate::validator::RebilledEnergy::default();
-    let mut episodes = 0usize;
-    for fr in &report.frames {
-        let Some(start) = fr.verdict.start_s() else {
-            continue;
-        };
-        for r in fr.tasks.iter().flatten().chain(fr.aborted.iter()) {
-            if r.cycles > 0 {
-                let epc = energy_per_cycle(cfg, r.vdd).unwrap_or(plan.energy_per_cycle);
-                out.active_j += r.cycles as f64 * epc;
-            }
-        }
-        let end = fr.window_end_s;
-        for pi in 0..report.n_procs {
-            let pid = ProcId(pi as u32);
-            let mut intervals: Vec<(f64, f64)> = fr
-                .tasks
-                .iter()
-                .flatten()
-                .chain(fr.aborted.iter())
-                .filter(|r| r.proc == pid)
-                .map(|r| (start + r.start_s, start + r.finish_s))
-                .collect();
-            intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let p_end = match stream.frames[fr.frame].faults.fail_stop {
-                Some(fs) if fs.proc == pid => (start + fs.at_s).min(end),
-                _ => end,
-            };
-            let mut cursor = start;
-            let mut gaps: Vec<f64> = Vec::new();
-            for (s, f) in intervals {
-                gaps.push(s - cursor);
-                cursor = cursor.max(f);
-            }
-            gaps.push(p_end - cursor);
-            for gap in gaps {
-                if gap <= 0.0 {
-                    continue;
-                }
-                if cfg.sleep.worth_sleeping(plan.idle_power, gap) {
-                    out.sleep_j += cfg.sleep.sleep_power * gap;
-                    out.transition_j += cfg.sleep.transition_energy;
-                    episodes += 1;
-                } else {
-                    out.idle_j += plan.idle_power * gap;
-                }
-            }
-        }
-    }
-    out.transition_j += report.dvs_switches as f64 * ocfg.switch.energy_j;
-    (out, episodes)
 }
 
 #[cfg(test)]
@@ -1466,6 +1246,50 @@ mod tests {
         assert!(
             v.iter()
                 .any(|x| matches!(x, RunViolation::OutcomeMismatch { .. })),
+            "{v:?}"
+        );
+    }
+
+    /// The per-frame checks `check_online` always applied reach
+    /// `check_run` through the shared frame checker: an aborted record
+    /// moved onto a healthy processor is flagged.
+    #[test]
+    fn aborted_record_off_the_fail_stop_processor_detected() {
+        let (g, sol, d) = setup(4, 2.5);
+        assert!(sol.n_procs >= 2);
+        let sw = DvsSwitchCost::free();
+        let (plan, mut r) = (0..40u32)
+            .find_map(|k| {
+                let fs = FailStop {
+                    proc: ProcId(0),
+                    at_s: sol.makespan_s * (0.1 + 0.02 * f64::from(k)),
+                };
+                let plan = lamps_sim::FaultPlan {
+                    fail_stop: Some(fs),
+                    ..lamps_sim::FaultPlan::none()
+                };
+                let r = run_with_faults(
+                    &g,
+                    &sol,
+                    g.weights(),
+                    &plan,
+                    d,
+                    RecoveryPolicy::Boost,
+                    &cfg(),
+                    &sw,
+                )
+                .unwrap();
+                (!r.aborted.is_empty()).then_some((plan, r))
+            })
+            .expect("some fail time cuts a running task");
+        assert!(check_run(&g, &sol, g.weights(), &plan, &r, d, &cfg(), &sw).is_empty());
+        r.aborted[0].proc = ProcId(1);
+        let v = check_run(&g, &sol, g.weights(), &plan, &r, d, &cfg(), &sw);
+        assert!(
+            v.iter().any(|x| matches!(
+                x,
+                RunViolation::Online { detail, .. } if detail.contains("without a fail-stop")
+            )),
             "{v:?}"
         );
     }

@@ -1,4 +1,4 @@
-//! Mutation check: eight hand-seeded scheduler/evaluator bugs, each in
+//! Mutation check: nine hand-seeded scheduler/evaluator/executor bugs, each in
 //! a test-only buggy copy of the production logic or behind a test-only
 //! hook, must be caught by the independent validator or a differential.
 //! If any of these pass silently the verification subsystem is not
@@ -393,4 +393,241 @@ fn mutation_stale_rank_reuse_is_caught() {
 
     // Control: the unmutated workspace re-ranks and matches the reference.
     assert_eq!(run(false), reference, "control case diverged");
+}
+
+/// Seeded bug 9, in the frame executor's billing: idle gaps billed at
+/// the level the processor last ran at instead of the plan level. This
+/// is a test-only copy of the executor's gap biller; `last_run_level`
+/// switches the bug on. The gap energies it returns replace a genuine
+/// report's, exactly as a buggy executor would report them.
+#[allow(clippy::too_many_arguments)]
+fn bill_gaps(
+    tasks: &[Option<lamps_sim::ExecRecord>],
+    aborted: &[lamps_sim::ExecRecord],
+    fail_stop: Option<lamps_sim::FailStop>,
+    start: f64,
+    end: f64,
+    n_procs: usize,
+    plan: OperatingPoint,
+    cfg: &SchedulerConfig,
+    last_run_level: bool,
+) -> lamps_energy::EnergyBreakdown {
+    let mut e = lamps_energy::EnergyBreakdown::default();
+    let mut bill = |gap: f64, level: OperatingPoint| {
+        if gap <= 0.0 {
+            return;
+        }
+        if cfg.sleep.worth_sleeping(level.idle_power, gap) {
+            e.transition_j += cfg.sleep.transition_energy;
+            e.sleep_j += cfg.sleep.sleep_power * gap;
+            e.sleep_episodes += 1;
+        } else {
+            e.idle_j += level.idle_power * gap;
+        }
+    };
+    for pi in 0..n_procs {
+        let pid = ProcId(pi as u32);
+        let mut runs: Vec<(f64, f64, f64)> = tasks
+            .iter()
+            .flatten()
+            .chain(aborted.iter())
+            .filter(|r| r.proc == pid)
+            .map(|r| (start + r.start_s, start + r.finish_s, r.vdd))
+            .collect();
+        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let p_end = match fail_stop {
+            Some(fs) if fs.proc == pid => (start + fs.at_s).min(end),
+            _ => end,
+        };
+        let (mut cursor, mut level) = (start, plan);
+        for (s, f, vdd) in runs {
+            bill(s - cursor, level);
+            cursor = cursor.max(f);
+            if last_run_level {
+                level = *cfg.levels.points().iter().find(|p| p.vdd == vdd).unwrap();
+            }
+        }
+        bill(p_end - cursor, level);
+    }
+    e
+}
+
+/// Swap a report's gap energies (and the sleep share of the transition
+/// bucket) for another bill's.
+fn rebilled(
+    e: &lamps_energy::EnergyBreakdown,
+    genuine: &lamps_energy::EnergyBreakdown,
+    gaps: &lamps_energy::EnergyBreakdown,
+) -> lamps_energy::EnergyBreakdown {
+    lamps_energy::EnergyBreakdown {
+        active_j: e.active_j,
+        idle_j: e.idle_j - genuine.idle_j + gaps.idle_j,
+        sleep_j: e.sleep_j - genuine.sleep_j + gaps.sleep_j,
+        transition_j: e.transition_j - genuine.transition_j + gaps.transition_j,
+        sleep_episodes: e.sleep_episodes - genuine.sleep_episodes + gaps.sleep_episodes,
+    }
+}
+
+#[test]
+fn mutation_idle_billed_at_last_run_level_is_caught() {
+    use lamps_sim::{
+        run_online, run_with_faults, DvsSwitchCost, FaultIntensity, FaultPlan, OnlineConfig,
+        OnlineStream, RecoveryPolicy,
+    };
+    use lamps_taskgraph::gen::layered::{generate, LayeredConfig};
+    use lamps_verify::{check_online, check_run, RunViolation};
+    let cfg = cfg();
+    let caught = |v: &[RunViolation]| {
+        v.iter()
+            .any(|x| matches!(x, RunViolation::EnergyMismatch { .. }))
+    };
+
+    // The single-frame runtime: a boosting run under severe faults, so
+    // processors idle after running above the plan level.
+    let sw = DvsSwitchCost::typical();
+    let mut single = 0;
+    for seed in 0..16u64 {
+        let g = generate(
+            &LayeredConfig {
+                n_tasks: 30,
+                n_layers: 6,
+                ..LayeredConfig::default()
+            },
+            seed,
+        )
+        .scale_weights(3_100_000);
+        let d = 1.4 * g.critical_path_cycles() as f64 / cfg.max_frequency();
+        let sol = solve(Strategy::LampsPs, &g, d, &cfg).unwrap();
+        let plan = FaultPlan::random(&g, sol.n_procs, d, &FaultIntensity::severe(), seed);
+        let r = run_with_faults(
+            &g,
+            &sol,
+            g.weights(),
+            &plan,
+            d,
+            RecoveryPolicy::Boost,
+            &cfg,
+            &sw,
+        )
+        .unwrap();
+        let bill = |bug| {
+            bill_gaps(
+                &r.tasks,
+                &r.aborted,
+                plan.fail_stop,
+                0.0,
+                d.max(r.makespan_s),
+                sol.n_procs,
+                sol.level,
+                &cfg,
+                bug,
+            )
+        };
+        let (genuine, buggy) = (bill(false), bill(true));
+        if (buggy.total() - genuine.total()).abs() <= genuine.total() * 1e-6 {
+            continue;
+        }
+        single += 1;
+        let mut control = r.clone();
+        control.energy = rebilled(&r.energy, &genuine, &bill(false));
+        let v = check_run(&g, &sol, g.weights(), &plan, &control, d, &cfg, &sw);
+        assert!(v.is_empty(), "seed {seed}: control diverged: {v:?}");
+        let mut mutated = r.clone();
+        mutated.energy = rebilled(&r.energy, &genuine, &buggy);
+        let v = check_run(&g, &sol, g.weights(), &plan, &mutated, d, &cfg, &sw);
+        assert!(
+            caught(&v),
+            "seed {seed}: last-level idle billing validated cleanly: {v:?}"
+        );
+    }
+    assert!(
+        single > 0,
+        "no run idled after a level change: the mutation never bit"
+    );
+
+    // The online runtime: stretched and boosted jobs leave gaps behind
+    // them at levels other than the plan's.
+    let mut s = lamps_kpn::PeriodicSet::new();
+    let src = s.add("src", 8_000_000, 31_000_000);
+    for i in 0..4 {
+        let w = s.add(format!("w{i}"), 11_000_000, 62_000_000);
+        s.depends(src, w).unwrap();
+    }
+    let dag = s.to_frame_dag();
+    let ocfg = OnlineConfig {
+        switch: sw,
+        ..OnlineConfig::reclaiming()
+    };
+    let mut online = 0;
+    for seed in 0..8u64 {
+        let stream = OnlineStream::synthesize(
+            &dag,
+            2,
+            6,
+            1.0,
+            0.5,
+            0.9,
+            Some(&FaultIntensity::moderate()),
+            cfg.max_frequency(),
+            seed,
+        );
+        let r = run_online(&dag, &stream, &ocfg, &cfg).unwrap();
+        let plan = *cfg
+            .levels
+            .points()
+            .iter()
+            .find(|p| p.vdd == r.plan_vdd)
+            .unwrap();
+        let tamper = |bug: bool| {
+            let mut t = r.clone();
+            let (mut genuine, mut gaps) = (
+                lamps_energy::EnergyBreakdown::default(),
+                lamps_energy::EnergyBreakdown::default(),
+            );
+            for (f, input) in t.frames.iter_mut().zip(&stream.frames) {
+                let Some(start) = f.verdict.start_s() else {
+                    continue;
+                };
+                let bill = |bug| {
+                    bill_gaps(
+                        &f.tasks,
+                        &f.aborted,
+                        input.faults.fail_stop,
+                        start,
+                        f.window_end_s,
+                        r.n_procs,
+                        plan,
+                        &cfg,
+                        bug,
+                    )
+                };
+                let (g, b) = (bill(false), bill(bug));
+                f.energy_j += b.total() - g.total();
+                for (sum, part) in [(&mut genuine, g), (&mut gaps, b)] {
+                    sum.idle_j += part.idle_j;
+                    sum.sleep_j += part.sleep_j;
+                    sum.transition_j += part.transition_j;
+                    sum.sleep_episodes += part.sleep_episodes;
+                }
+            }
+            t.energy = rebilled(&r.energy, &genuine, &gaps);
+            t
+        };
+        let mutated = tamper(true);
+        if (mutated.total_energy() - r.total_energy()).abs() <= r.total_energy() * 1e-6 {
+            continue;
+        }
+        online += 1;
+        let v = check_online(&dag, &stream, &ocfg, &cfg, &tamper(false));
+        assert!(v.is_empty(), "seed {seed}: online control diverged: {v:?}");
+        let v = check_online(&dag, &stream, &ocfg, &cfg, &mutated);
+        assert!(
+            caught(&v),
+            "seed {seed}: last-level idle billing validated cleanly: {v:?}"
+        );
+    }
+    assert!(
+        online > 0,
+        "no frame idled after a level change: the mutation never bit"
+    );
 }
